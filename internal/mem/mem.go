@@ -346,20 +346,52 @@ func (m *Memory) CheckAccess(addr uint64, size int) *Fault {
 	return m.check(addr, size)
 }
 
-// Peek reads one byte without consulting or updating the cache model, so
-// observers (the lockstep oracle's bitmap cross-checks) cannot perturb
-// the cycle accounting. Mapping and implemented-bits rules still apply.
+// Peek reads one byte without updating the cache model or the software
+// TLB, so observers (the checkers' bitmap cross-checks) perturb neither
+// the cycle accounting nor the TLB statistics. Mapping and
+// implemented-bits rules still apply.
 func (m *Memory) Peek(addr uint64) (byte, *Fault) {
 	if !m.rangeOK(addr, 1) {
 		if f := m.check(addr, 1); f != nil {
 			return 0, f
 		}
 	}
-	p := m.frame(addr, false)
+	p := m.peekFrame(addr >> pageBits)
 	if p == nil {
 		return 0, nil
 	}
 	return p[addr&(pageSize-1)], nil
+}
+
+// Peek8 reads the aligned little-endian 8-byte word at addr with Peek's
+// guarantees: no cache-model access, no TLB fill, no counter change.
+// It is the bulk read behind the checkers' word-at-a-time bitmap sweeps.
+func (m *Memory) Peek8(addr uint64) (uint64, *Fault) {
+	if !m.ok(addr, 8) {
+		if f := m.check(addr, 8); f != nil {
+			return 0, f
+		}
+	}
+	p := m.peekFrame(addr >> pageBits)
+	if p == nil {
+		return 0, nil
+	}
+	base := addr & (pageSize - 1)
+	return binary.LittleEndian.Uint64(p[base : base+8]), nil
+}
+
+// peekFrame returns the frame holding page key without filling the
+// software TLB or counting a hit or miss: a present entry is used as is,
+// otherwise the private page table and then the copy-on-write base are
+// consulted. Nil means the page has never been written.
+func (m *Memory) peekFrame(key uint64) *[pageSize]byte {
+	if e := &m.tlb[key&(tlbSize-1)]; e.frame != nil && e.key == key {
+		return e.frame
+	}
+	if p := m.pages[key]; p != nil {
+		return p
+	}
+	return m.base[key]
 }
 
 // ReadBytes copies n bytes starting at addr into a fresh slice. It is a

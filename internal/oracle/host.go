@@ -16,40 +16,15 @@ import "shift/internal/isa"
 // OS overwrites it: its bitmap bit is adopted once, and from then on it
 // is checked like any other unit.
 func (o *Oracle) HostWrite(addr uint64, n int) {
-	if n <= 0 {
-		return
-	}
-	for u := o.unitOf(addr); u < o.unitOf(addr+uint64(n)-1)+o.unit; u += o.unit {
-		mu := o.mem[u]
-		if mu.hidden && o.cfg.Tags != nil {
-			if bit, err := o.cfg.Tags.PeekUnit(u); err == nil {
-				mu = memUnit{taint: bit}
-			}
-		}
-		o.mem[u] = mu
-	}
+	o.mem.HostWrite(o.cfg.Tags, addr, n)
 }
 
 // HostTaint records that the OS marked [addr, addr+n) as a taint source.
-func (o *Oracle) HostTaint(addr, n uint64) {
-	if n == 0 {
-		return
-	}
-	for u := o.unitOf(addr); u < o.unitOf(addr+n-1)+o.unit; u += o.unit {
-		o.mem[u] = memUnit{taint: true}
-	}
-}
+func (o *Oracle) HostTaint(addr, n uint64) { o.mem.HostTaint(addr, n) }
 
 // HostUntaint records that the OS explicitly cleared tags over
 // [addr, addr+n) (the taint-control syscall).
-func (o *Oracle) HostUntaint(addr, n uint64) {
-	if n == 0 {
-		return
-	}
-	for u := o.unitOf(addr); u < o.unitOf(addr+n-1)+o.unit; u += o.unit {
-		o.mem[u] = memUnit{taint: false}
-	}
-}
+func (o *Oracle) HostUntaint(addr, n uint64) { o.mem.HostUntaint(addr, n) }
 
 // OnSpawn records a thread creation. The child inherits the taint of its
 // argument register from the parent's argument slot. Under the default

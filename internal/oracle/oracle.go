@@ -1,10 +1,9 @@
 package oracle
 
 import (
-	"sort"
-
 	"shift/internal/isa"
 	"shift/internal/machine"
+	"shift/internal/shadow"
 	"shift/internal/taint"
 )
 
@@ -35,19 +34,6 @@ type Config struct {
 	UnsafePreempt bool
 }
 
-// memUnit is the shadow state of one tracked unit (one byte at byte
-// granularity, one 8-byte word at word granularity).
-type memUnit struct {
-	taint bool
-	// hidden marks a unit whose last write bypassed the bitmap by
-	// design: ABI register-preservation traffic, the instrumentation's
-	// red-zone NaT-stripping spills, and tag-byte stores themselves.
-	// The shadow still tracks taint through them (that is how spilled
-	// tokens keep their meaning), but the bitmap is not expected to
-	// agree there.
-	hidden bool
-}
-
 // regShadow is one thread's register taint state.
 type regShadow struct {
 	taint [isa.NumGR]bool
@@ -74,10 +60,9 @@ type Stats struct {
 // Oracle is the lockstep reference engine. It implements
 // machine.StepHook and the shift package's HostEffects interface.
 type Oracle struct {
-	cfg  Config
-	unit uint64 // tracked unit size in bytes
+	cfg Config
 
-	mem     map[uint64]memUnit
+	mem     *shadow.Memory
 	threads map[int]*regShadow
 	pending []uint64 // units awaiting a bitmap check at the next boundary
 
@@ -95,14 +80,13 @@ type Oracle struct {
 // New builds an oracle. Attach it with Attach (or machine.Machine.Hook),
 // and wire it as the world's HostEffects to mirror syscall writes.
 func New(cfg Config) *Oracle {
-	unit := uint64(1)
+	gran := taint.Byte
 	if cfg.Tags != nil {
-		unit = cfg.Tags.Gran.UnitBytes()
+		gran = cfg.Tags.Gran
 	}
 	return &Oracle{
 		cfg:     cfg,
-		unit:    unit,
-		mem:     make(map[uint64]memUnit),
+		mem:     shadow.New(gran),
 		threads: make(map[int]*regShadow),
 	}
 }
@@ -125,29 +109,18 @@ func (o *Oracle) regs(tid int) *regShadow {
 	return rs
 }
 
-// unitOf aligns an address down to its tracked unit.
-func (o *Oracle) unitOf(addr uint64) uint64 { return addr &^ (o.unit - 1) }
-
-// loadTaint ORs the shadow taint of every unit covering [addr, addr+size).
-func (o *Oracle) loadTaint(addr uint64, size int) bool {
-	for u := o.unitOf(addr); u < o.unitOf(addr+uint64(size)-1)+o.unit; u += o.unit {
-		if o.mem[u].taint {
-			return true
-		}
-	}
-	return false
-}
-
 // setMem writes the shadow taint of every unit covering the access. An
 // authoritative store (one the instrumentation pass follows with a tag
 // update) also queues the units for a bitmap cross-check at the next
 // original-instruction boundary.
 func (o *Oracle) setMem(addr uint64, size int, t, authoritative bool) {
-	for u := o.unitOf(addr); u < o.unitOf(addr+uint64(size)-1)+o.unit; u += o.unit {
-		o.mem[u] = memUnit{taint: t, hidden: !authoritative}
-		if authoritative && !o.concurrent {
-			o.pending = append(o.pending, u)
-		}
+	o.mem.Set(addr, size, t, authoritative)
+	if !authoritative || o.concurrent {
+		return
+	}
+	unit := o.mem.UnitBytes()
+	for u := o.mem.UnitOf(addr); u < o.mem.UnitOf(addr+uint64(size)-1)+unit; u += unit {
+		o.pending = append(o.pending, u)
 	}
 }
 
@@ -175,7 +148,7 @@ func (o *Oracle) checkUnit(m *machine.Machine, ins *isa.Instruction, u uint64) e
 		return nil
 	}
 	o.Stats.UnitChecks++
-	if sh := o.mem[u].taint; bit != sh {
+	if sh := o.mem.Load(u, 1); bit != sh {
 		return o.fail(m, ins, Divergence{Kind: DivBitmap, Addr: u, Machine: bit, Shadow: sh})
 	}
 	return nil
@@ -208,17 +181,10 @@ func (o *Oracle) flush(m *machine.Machine, ins *isa.Instruction, skip int) error
 // against the bitmap, in address order.
 func (o *Oracle) sweep(m *machine.Machine, ins *isa.Instruction) error {
 	o.Stats.Sweeps++
-	units := make([]uint64, 0, len(o.mem))
-	for u, mu := range o.mem {
-		if !mu.hidden {
-			units = append(units, u)
-		}
-	}
-	sort.Slice(units, func(i, j int) bool { return units[i] < units[j] })
-	for _, u := range units {
-		if err := o.checkUnit(m, ins, u); err != nil {
-			return err
-		}
+	checks, mm, found := o.mem.Sweep(o.cfg.Tags)
+	o.Stats.UnitChecks += checks
+	if found {
+		return o.fail(m, ins, Divergence{Kind: DivBitmap, Addr: mm.Addr, Machine: mm.Bitmap, Shadow: mm.Shadow})
 	}
 	return nil
 }

@@ -212,18 +212,18 @@ func TestOracleHostEffects(t *testing.T) {
 	o := New(Config{Tags: tags, Instrumented: true})
 
 	o.HostTaint(dataAddr, 4)
-	if !o.loadTaint(dataAddr, 4) {
+	if !o.mem.Load(dataAddr, 4) {
 		t.Error("HostTaint did not mark the shadow")
 	}
 	o.HostUntaint(dataAddr, 4)
-	if o.loadTaint(dataAddr, 4) {
+	if o.mem.Load(dataAddr, 4) {
 		t.Error("HostUntaint did not clear the shadow")
 	}
 	// A host write over a previously tainted range preserves the shadow's
 	// taint (OS tag stickiness is the reference semantics under check).
 	o.HostTaint(dataAddr, 2)
 	o.HostWrite(dataAddr, 4)
-	if !o.loadTaint(dataAddr, 2) || o.loadTaint(dataAddr+2, 2) {
+	if !o.mem.Load(dataAddr, 2) || o.mem.Load(dataAddr+2, 2) {
 		t.Error("HostWrite did not preserve the shadow's sticky taint")
 	}
 }
@@ -242,7 +242,7 @@ func TestOracleChecksHostWriteStickiness(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.HostWrite(dataAddr, 4)
-	if o.loadTaint(dataAddr, 4) {
+	if o.mem.Load(dataAddr, 4) {
 		t.Fatal("shadow adopted unexplained bitmap taint")
 	}
 	err := o.Finish(m)

@@ -134,7 +134,7 @@ func (o *Oracle) PostStep(m *machine.Machine, ins *isa.Instruction) error {
 		if ins.Dest != isa.RegZero && m.NaT[ins.Dest] {
 			return o.fail(m, ins, Divergence{Kind: DivNaTRule, Reg: ins.Dest, Machine: true, Shadow: false})
 		}
-		setReg(rs, ins.Dest, o.loadTaint(rs.addr, int(ins.Size)))
+		setReg(rs, ins.Dest, o.mem.Load(rs.addr, int(ins.Size)))
 
 	case isa.OpLdS:
 		if ins.Dest != isa.RegZero && m.NaT[ins.Dest] != rs.deferred {
@@ -147,14 +147,14 @@ func (o *Oracle) PostStep(m *machine.Machine, ins *isa.Instruction) error {
 		// the deferral is flagged exactly like a taint consume.
 		t := true
 		if !rs.deferred {
-			t = o.loadTaint(rs.addr, int(ins.Size))
+			t = o.mem.Load(rs.addr, int(ins.Size))
 		}
 		setReg(rs, ins.Dest, t)
 
 	case isa.OpLdFill:
 		// The fill's NaT comes from UNAT, which the oracle deliberately
 		// does not model; taint comes straight from the spilled unit.
-		setReg(rs, ins.Dest, o.loadTaint(rs.addr, 8))
+		setReg(rs, ins.Dest, o.mem.Load(rs.addr, 8))
 
 	case isa.OpSt:
 		o.setMem(rs.addr, int(ins.Size), rs.taint[ins.Src2], o.authoritative(ins))
@@ -173,7 +173,7 @@ func (o *Oracle) PostStep(m *machine.Machine, ins *isa.Instruction) error {
 		// an original cmpxchg with a tag-update sequence (closing the
 		// paper's §4.4 gap), so the units are checked against the bitmap
 		// like any store's.
-		old := o.loadTaint(rs.addr, int(ins.Size))
+		old := o.mem.Load(rs.addr, int(ins.Size))
 		if rs.xchgOld == rs.ccvPre {
 			o.setMem(rs.addr, int(ins.Size), rs.taint[ins.Src2], o.authoritative(ins))
 		}

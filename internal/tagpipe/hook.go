@@ -211,16 +211,7 @@ func (p *Pipeline) HostWrite(addr uint64, n int) {
 		return
 	}
 	p.drain()
-	st := p.st
-	for u := st.unitOf(addr); u < st.unitOf(addr+uint64(n)-1)+st.unit; u += st.unit {
-		mu := st.mem[u]
-		if mu.hidden && p.cfg.Tags != nil {
-			if bit, err := p.cfg.Tags.PeekUnit(u); err == nil {
-				mu = memUnit{taint: bit}
-			}
-		}
-		st.mem[u] = mu
-	}
+	p.st.mem.HostWrite(p.cfg.Tags, addr, n)
 }
 
 // HostTaint records that the OS marked [addr, addr+n) as a taint source.
@@ -229,10 +220,7 @@ func (p *Pipeline) HostTaint(addr, n uint64) {
 		return
 	}
 	p.drain()
-	st := p.st
-	for u := st.unitOf(addr); u < st.unitOf(addr+n-1)+st.unit; u += st.unit {
-		st.mem[u] = memUnit{taint: true}
-	}
+	p.st.mem.HostTaint(addr, n)
 }
 
 // HostUntaint records that the OS explicitly cleared tags over
@@ -242,10 +230,7 @@ func (p *Pipeline) HostUntaint(addr, n uint64) {
 		return
 	}
 	p.drain()
-	st := p.st
-	for u := st.unitOf(addr); u < st.unitOf(addr+n-1)+st.unit; u += st.unit {
-		st.mem[u] = memUnit{taint: false}
-	}
+	p.st.mem.HostUntaint(addr, n)
 }
 
 // OnSpawn records a thread creation: the child inherits its argument

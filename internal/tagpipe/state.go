@@ -2,24 +2,14 @@ package tagpipe
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"shift/internal/isa"
 	"shift/internal/machine"
 	"shift/internal/oracle"
+	"shift/internal/shadow"
 	"shift/internal/taint"
 )
-
-// memUnit is the shadow state of one tracked unit, with the same hidden
-// semantics as the lockstep oracle: a unit whose last writer bypassed
-// the bitmap by design (ABI traffic, red-zone spills, tag bytes) is
-// tracked but excluded from bitmap comparisons until a host write
-// adopts it.
-type memUnit struct {
-	taint  bool
-	hidden bool
-}
 
 // regShadow is one thread's shadow taint state.
 type regShadow struct {
@@ -33,8 +23,7 @@ type regShadow struct {
 // points (sink drains, host effects), after the drain's happens-before
 // edge has been established.
 type state struct {
-	unit    uint64
-	mem     map[uint64]memUnit
+	mem     *shadow.Memory
 	threads map[int32]*regShadow
 	// checking mirrors the oracle's strong-check soundness: it drops
 	// when a second thread spawns under UnsafePreempt (the §4.4 window
@@ -48,13 +37,12 @@ type state struct {
 }
 
 func newState(cfg Config) *state {
-	unit := uint64(1)
+	gran := taint.Byte
 	if cfg.Tags != nil {
-		unit = cfg.Tags.Gran.UnitBytes()
+		gran = cfg.Tags.Gran
 	}
 	return &state{
-		unit:     unit,
-		mem:      make(map[uint64]memUnit),
+		mem:      shadow.New(gran),
 		threads:  make(map[int32]*regShadow),
 		checking: cfg.Instrumented && cfg.Tags != nil,
 	}
@@ -68,26 +56,6 @@ func (st *state) regs(tid int32) *regShadow {
 		st.threads[tid] = rs
 	}
 	return rs
-}
-
-// unitOf aligns an address down to its tracked unit.
-func (st *state) unitOf(addr uint64) uint64 { return addr &^ (st.unit - 1) }
-
-// loadTaint ORs the shadow taint of every unit covering [addr, addr+size).
-func (st *state) loadTaint(addr uint64, size int) bool {
-	for u := st.unitOf(addr); u < st.unitOf(addr+uint64(size)-1)+st.unit; u += st.unit {
-		if st.mem[u].taint {
-			return true
-		}
-	}
-	return false
-}
-
-// setMem writes the shadow taint of every unit covering the access.
-func (st *state) setMem(addr uint64, size int, t, authoritative bool) {
-	for u := st.unitOf(addr); u < st.unitOf(addr+uint64(size)-1)+st.unit; u += st.unit {
-		st.mem[u] = memUnit{taint: t, hidden: !authoritative}
-	}
 }
 
 // setReg writes a register's shadow taint, preserving r0 == clean.
@@ -132,7 +100,7 @@ func (st *state) applyRec(r *rec) *oracle.Divergence {
 		if r.dest != isa.RegZero && natAfter {
 			return div(r, oracle.DivNaTRule, r.dest, true, false)
 		}
-		rs.set(r.dest, st.loadTaint(r.addr, int(r.size)))
+		rs.set(r.dest, st.mem.Load(r.addr, int(r.size)))
 	case rLoadSpec:
 		deferred := r.flags&fDeferred != 0
 		if r.dest != isa.RegZero && natAfter != deferred {
@@ -142,20 +110,20 @@ func (st *state) applyRec(r *rec) *oracle.Divergence {
 		// oracle's OpLdS rule); keeps NaT/taint equality checks exact.
 		t := true
 		if !deferred {
-			t = st.loadTaint(r.addr, int(r.size))
+			t = st.mem.Load(r.addr, int(r.size))
 		}
 		rs.set(r.dest, t)
 	case rLoadFill:
-		rs.set(r.dest, st.loadTaint(r.addr, 8))
+		rs.set(r.dest, st.mem.Load(r.addr, 8))
 	case rStore:
-		st.setMem(r.addr, int(r.size), rs.taint[r.s2], r.flags&fAuth != 0)
+		st.mem.Set(r.addr, int(r.size), rs.taint[r.s2], r.flags&fAuth != 0)
 	case rCmpxchg:
 		if r.dest != isa.RegZero && natAfter {
 			return div(r, oracle.DivNaTRule, r.dest, true, false)
 		}
-		old := st.loadTaint(r.addr, int(r.size))
+		old := st.mem.Load(r.addr, int(r.size))
 		if r.flags&fCommitted != 0 {
-			st.setMem(r.addr, int(r.size), rs.taint[r.s2], r.flags&fAuth != 0)
+			st.mem.Set(r.addr, int(r.size), rs.taint[r.s2], r.flags&fAuth != 0)
 		}
 		rs.set(r.dest, old)
 	case rCcvSet:
@@ -168,24 +136,6 @@ func (st *state) applyRec(r *rec) *oracle.Divergence {
 	if st.checking && natAfter &&
 		r.dest >= 1 && r.dest < oracle.FirstReservedReg && !rs.taint[r.dest] {
 		return div(r, oracle.DivRegister, r.dest, true, false)
-	}
-	return nil
-}
-
-// checkUnit compares one unit's bitmap bit against the shadow.
-func (st *state) checkUnit(tags *taint.Space, m *machine.Machine, ins string, u uint64, stats *Stats) *oracle.Divergence {
-	bit, err := tags.PeekUnit(u)
-	if err != nil {
-		// Not representable in the bitmap (red-zone/host ranges);
-		// nothing to compare — same rule as the oracle.
-		return nil
-	}
-	stats.UnitChecks.Add(1)
-	if sh := st.mem[u].taint; bit != sh {
-		return &oracle.Divergence{
-			Kind: oracle.DivBitmap, TID: m.TID, PC: m.PC, Ins: ins,
-			Addr: u, Machine: bit, Shadow: sh,
-		}
 	}
 	return nil
 }
@@ -215,16 +165,12 @@ func (st *state) flushCheck(m *machine.Machine, ins string, skip int, stats *Sta
 // against the bitmap, in address order.
 func (st *state) sweep(tags *taint.Space, m *machine.Machine, ins string, stats *Stats) *oracle.Divergence {
 	stats.Sweeps.Add(1)
-	units := make([]uint64, 0, len(st.mem))
-	for u, mu := range st.mem {
-		if !mu.hidden {
-			units = append(units, u)
-		}
-	}
-	sort.Slice(units, func(i, j int) bool { return units[i] < units[j] })
-	for _, u := range units {
-		if d := st.checkUnit(tags, m, ins, u, stats); d != nil {
-			return d
+	checks, mm, found := st.mem.Sweep(tags)
+	stats.UnitChecks.Add(checks)
+	if found {
+		return &oracle.Divergence{
+			Kind: oracle.DivBitmap, TID: m.TID, PC: m.PC, Ins: ins,
+			Addr: mm.Addr, Machine: mm.Bitmap, Shadow: mm.Shadow,
 		}
 	}
 	return nil

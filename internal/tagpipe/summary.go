@@ -246,7 +246,7 @@ func (st *state) eval(v sym) bool {
 				return true
 			}
 		case locMem:
-			if st.mem[d.unit].taint {
+			if st.mem.Load(d.unit, 1) {
 				return true
 			}
 		}
@@ -284,7 +284,7 @@ func (st *state) applySummary(s *summary) *oracle.Divergence {
 		case locCcv:
 			st.regs(r.l.tid).ccv = r.t
 		case locMem:
-			st.mem[r.l.unit] = memUnit{taint: r.t, hidden: r.o.hidden}
+			st.mem.Set(r.l.unit, 1, r.t, !r.o.hidden)
 		}
 	}
 	return nil

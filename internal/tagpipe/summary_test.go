@@ -6,6 +6,8 @@ import (
 
 	"shift/internal/isa"
 	"shift/internal/oracle"
+	"shift/internal/shadow"
+	"shift/internal/taint"
 )
 
 // makeRandomRecs builds a producer-faithful random record stream: the
@@ -82,7 +84,7 @@ func makeRandomRecs(n int, seed int64) []rec {
 // freshState builds a checking state with unit size 1 and a little
 // pre-seeded taint so records have something to propagate.
 func freshState(seed int64) *state {
-	st := &state{unit: 1, mem: make(map[uint64]memUnit), threads: make(map[int32]*regShadow), checking: true}
+	st := &state{mem: shadow.New(taint.Byte), threads: make(map[int32]*regShadow), checking: true}
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 	for tid := int32(0); tid < 3; tid++ {
 		rs := st.regs(tid)
@@ -93,7 +95,7 @@ func freshState(seed int64) *state {
 	for _, a := range []uint64{0x100, 0x104, 0x108, 0x110, 0x118, 0x120} {
 		for i := uint64(0); i < 8; i++ {
 			if rng.Intn(3) == 0 {
-				st.mem[a+i] = memUnit{taint: true}
+				st.mem.Set(a+i, 1, true, true)
 			}
 		}
 	}
@@ -126,7 +128,7 @@ func TestSummaryParity(t *testing.T) {
 
 		seg := &segment{recs: recs}
 		var dSym *oracle.Divergence
-		if sum, ok := summarize(seg, symbolic.unit); ok {
+		if sum, ok := summarize(seg, symbolic.mem.UnitBytes()); ok {
 			summarized++
 			dSym = symbolic.applySummary(sum)
 		} else {

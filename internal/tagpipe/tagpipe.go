@@ -68,7 +68,8 @@ type Config struct {
 	SegRecords int
 	// Segments is the ring depth in segments (default 64). The lag window
 	// is Segments × SegRecords records; a producer that gets further ahead
-	// stalls until the committer frees a segment.
+	// stalls until the committer frees a segment. Segments are allocated
+	// when the producer first needs them.
 	Segments int
 }
 
@@ -105,9 +106,10 @@ type Pipeline struct {
 	r8       int64
 	r8NaT    bool
 
-	cur     *segment // partial segment being filled
-	nextSeq uint64   // stamp for the next submitted segment
-	lastSeq uint64   // last submitted seq (drain target)
+	cur       *segment // partial segment being filled
+	nextSeq   uint64   // stamp for the next submitted segment
+	lastSeq   uint64   // last submitted seq (drain target)
+	allocated int      // segments built so far, at most cfg.Segments
 
 	free chan *segment // recycled segments, capacity = ring depth
 	work chan *segment // producer → workers
@@ -150,9 +152,6 @@ func New(cfg Config) *Pipeline {
 		committerDone: make(chan struct{}),
 	}
 	p.cond = sync.NewCond(&p.mu)
-	for i := 0; i < cfg.Segments; i++ {
-		p.free <- &segment{recs: make([]rec, 0, cfg.SegRecords)}
-	}
 	p.workerWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go p.worker()
@@ -217,16 +216,22 @@ func (p *Pipeline) Finish(m *machine.Machine) error {
 	return nil
 }
 
-// grab takes a free segment, counting a stall when the ring is full and
-// the producer has to wait for the committer.
+// grab takes a free segment. The ring fills lazily: while fewer than
+// Segments exist, a producer that finds none free builds a new one, so a
+// short run allocates only the segments it fills. Once all Segments are
+// in flight the producer stalls, counted, until the committer frees one.
 func (p *Pipeline) grab() *segment {
 	select {
 	case s := <-p.free:
 		return s
 	default:
-		p.Stats.Stalls.Add(1)
-		return <-p.free
 	}
+	if p.allocated < p.cfg.Segments {
+		p.allocated++
+		return &segment{recs: make([]rec, 0, p.cfg.SegRecords)}
+	}
+	p.Stats.Stalls.Add(1)
+	return <-p.free
 }
 
 // emit appends one record, submitting the segment when it fills.
@@ -308,7 +313,7 @@ func (p *Pipeline) worker() {
 	defer p.workerWG.Done()
 	for seg := range p.work {
 		if p.cfg.Workers > 1 && !p.failed.Load() {
-			if sum, ok := summarize(seg, p.st.unit); ok {
+			if sum, ok := summarize(seg, p.st.mem.UnitBytes()); ok {
 				seg.sum = sum
 			}
 		}
@@ -337,8 +342,8 @@ func (p *Pipeline) committer() {
 	}
 }
 
-// commit applies one segment in retirement order, publishes the applied
-// sequence number, and recycles the segment.
+// commit applies one segment in retirement order, recycles the segment,
+// and publishes the applied sequence number.
 func (p *Pipeline) commit(seg *segment) {
 	var d *oracle.Divergence
 	if !p.failed.Load() {
@@ -357,6 +362,10 @@ func (p *Pipeline) commit(seg *segment) {
 	seq := seg.seq
 	seg.sum = nil
 	seg.recs = seg.recs[:0]
+	// Recycle before publishing: a drain that returns finds every applied
+	// segment free again, so the lazily filled ring does not grow past
+	// what the producer really has in flight.
+	p.free <- seg
 	p.mu.Lock()
 	if d != nil && p.failure == nil {
 		p.failure = d
@@ -365,5 +374,4 @@ func (p *Pipeline) commit(seg *segment) {
 	p.appliedSeq = seq
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	p.free <- seg
 }

@@ -184,16 +184,16 @@ func TestPipelineHostEffects(t *testing.T) {
 	p := New(Config{Workers: 2})
 	defer p.Close()
 	p.HostTaint(dataAddr, 4)
-	if !p.st.loadTaint(dataAddr, 4) {
+	if !p.st.mem.Load(dataAddr, 4) {
 		t.Error("HostTaint did not mark the shadow")
 	}
 	p.HostUntaint(dataAddr, 4)
-	if p.st.loadTaint(dataAddr, 4) {
+	if p.st.mem.Load(dataAddr, 4) {
 		t.Error("HostUntaint did not clear the shadow")
 	}
 	p.HostTaint(dataAddr, 2)
 	p.HostWrite(dataAddr, 4)
-	if !p.st.loadTaint(dataAddr, 2) || p.st.loadTaint(dataAddr+2, 2) {
+	if !p.st.mem.Load(dataAddr, 2) || p.st.mem.Load(dataAddr+2, 2) {
 		t.Error("HostWrite did not preserve the shadow's sticky taint")
 	}
 }
@@ -254,6 +254,40 @@ func TestPipelineTinyRing(t *testing.T) {
 	tiny.Close()
 }
 
+// The ring fills lazily: a run that emits less than a ring's worth of
+// records builds only the segments it fills, and no run builds more than
+// Segments, however hard the producer pushes.
+func TestPipelineLazyRing(t *testing.T) {
+	recs := makeRandomRecs(600, 7)
+	p := New(Config{Workers: 1})
+	for i := range recs[:10] {
+		p.emit(recs[i])
+	}
+	p.drain()
+	if p.allocated != 1 {
+		t.Errorf("10 records built %d segments, want 1", p.allocated)
+	}
+	for i := range recs {
+		p.emit(recs[i])
+	}
+	p.drain()
+	// 600 more records fill three 256-record segments at most.
+	if p.allocated < 1 || p.allocated > 3 {
+		t.Errorf("610 records built %d segments, want 1..3", p.allocated)
+	}
+	p.Close()
+
+	tiny := New(Config{Workers: 2, Segments: 2, SegRecords: 2})
+	for i := range recs {
+		tiny.emit(recs[i])
+	}
+	tiny.drain()
+	if tiny.allocated > 2 {
+		t.Errorf("a 2-segment ring built %d segments", tiny.allocated)
+	}
+	tiny.Close()
+}
+
 // compareStates asserts two shadow states are identical over every
 // thread and every tracked unit.
 func compareStates(t *testing.T, a, b *state) {
@@ -269,18 +303,14 @@ func compareStates(t *testing.T, a, b *state) {
 			t.Fatalf("tid %d: shadow only in one state", tid)
 		}
 	}
-	seen := make(map[uint64]bool)
-	for u, ma := range a.mem {
-		seen[u] = true
-		if mb := b.mem[u]; ma.taint != mb.taint || ma.hidden != mb.hidden {
-			t.Fatalf("unit %#x: %+v vs %+v", u, ma, b.mem[u])
+	a.mem.Each(func(u uint64, ta, ha bool) {
+		if tb, hb := b.mem.Unit(u); ta != tb || ha != hb {
+			t.Fatalf("unit %#x: taint/hidden %v/%v vs %v/%v", u, ta, ha, tb, hb)
 		}
-	}
-	for u, mb := range b.mem {
-		if !seen[u] {
-			if ma := a.mem[u]; ma.taint != mb.taint || ma.hidden != mb.hidden {
-				t.Fatalf("unit %#x: only tracked in one state (%+v)", u, mb)
-			}
+	})
+	b.mem.Each(func(u uint64, tb, hb bool) {
+		if ta, ha := a.mem.Unit(u); ta != tb || ha != hb {
+			t.Fatalf("unit %#x: taint/hidden %v/%v vs %v/%v", u, ta, ha, tb, hb)
 		}
-	}
+	})
 }

@@ -117,6 +117,78 @@ func TestPeekUnit(t *testing.T) {
 	}
 }
 
+// PeekWord must return, bit for bit, what PeekUnit reports for each of
+// its 64 units, on plain and shared spaces, and reject misaligned or
+// unimplemented bases.
+func TestPeekWordMatchesPeekUnit(t *testing.T) {
+	for _, g := range []Granularity{Byte, Word} {
+		for _, shared := range []bool{false, true} {
+			s := newFullSpace(g)
+			if shared {
+				s.Share()
+			}
+			unit := g.UnitBytes()
+			base := mem.Addr(3, 0x8000)
+			for k := uint64(0); k < 3*WordUnits; k++ {
+				if k%3 == 0 || k%7 == 0 {
+					if err := s.SetRange(base+k*unit, 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for w := uint64(0); w < 3; w++ {
+				wb := base + w*WordUnits*unit
+				bits, err := s.PeekWord(wb)
+				if err != nil {
+					t.Fatalf("%v shared=%v: PeekWord(%#x): %v", g, shared, wb, err)
+				}
+				for i := uint64(0); i < WordUnits; i++ {
+					want, err := s.PeekUnit(wb + i*unit)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := bits>>i&1 != 0; got != want {
+						t.Fatalf("%v shared=%v: word %d bit %d = %v, PeekUnit %v", g, shared, w, i, got, want)
+					}
+				}
+			}
+			if _, err := s.PeekWord(base + unit); err == nil {
+				t.Errorf("%v: misaligned PeekWord succeeded", g)
+			}
+			if _, err := s.PeekWord(base | 1<<45); err == nil {
+				t.Errorf("%v: PeekWord with unimplemented bits succeeded", g)
+			}
+		}
+	}
+}
+
+// The checkers' bitmap reads must leave the guest's software TLB alone:
+// no entry filled, no hit or miss counted.
+func TestPeeksLeaveTLBAlone(t *testing.T) {
+	for _, g := range []Granularity{Byte, Word} {
+		s := newFullSpace(g)
+		addr := mem.Addr(3, 0x4000)
+		if err := s.SetRange(addr, 1); err != nil {
+			t.Fatal(err)
+		}
+		hits, misses := s.Mem.TLBStats()
+		for i := 0; i < 4; i++ {
+			if _, err := s.PeekUnit(addr); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.PeekWord(addr); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.PeekUnit(mem.Addr(5, 0x123456)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if h, ms := s.Mem.TLBStats(); h != hits || ms != misses {
+			t.Errorf("%v: peeks moved TLB stats from %d/%d to %d/%d", g, hits, misses, h, ms)
+		}
+	}
+}
+
 // FuzzTagRanges drives SetRange/ClearRange/Tainted/CountTainted with
 // arbitrary ranges: no call may panic, valid updates must read back, and
 // invalid ranges must leave the bitmap untouched.

@@ -332,7 +332,7 @@ func checkRange(addr, n uint64) error {
 func (s *Space) units(addr, n uint64) (start, count uint64) {
 	unit := s.Gran.UnitBytes()
 	start = addr &^ (unit - 1)
-	count = (addr + n - 1 - start)/unit + 1
+	count = (addr+n-1-start)/unit + 1
 	return start, count
 }
 
@@ -409,9 +409,9 @@ func (s *Space) Tainted(addr uint64, n uint64) (bool, error) {
 }
 
 // PeekUnit reports the tag bit of the tracked unit containing addr,
-// reading the bitmap without touching the machine's cache model (the
-// lockstep oracle uses it so cross-checks cannot perturb cycle
-// accounting).
+// reading the bitmap without touching the machine's cache model or
+// software TLB (the checkers use it so cross-checks perturb neither
+// cycle accounting nor TLB statistics).
 func (s *Space) PeekUnit(addr uint64) (bool, error) {
 	if !mem.Implemented(addr) {
 		return false, fmt.Errorf("taint: peek at %#x: unimplemented address bits", addr)
@@ -430,6 +430,69 @@ func (s *Space) PeekUnit(addr uint64) (bool, error) {
 		return false, fmt.Errorf("taint: reading tag byte for %#x: %w", addr, f)
 	}
 	return v>>bit&1 != 0, nil
+}
+
+// WordUnits is the number of tracked units PeekWord reads at once.
+const WordUnits = 64
+
+// PeekWord returns the tag bits of the WordUnits tracked units starting
+// at base, bit i holding the unit at base + i*UnitBytes, with PeekUnit's
+// guarantees (no cache-model access, no TLB fill). base must be aligned
+// to WordUnits units. At byte granularity the 64 bits are one aligned
+// 8-byte bitmap word — exactly one shard word of a shared Space. At word
+// granularity they are bit 0 of 64 consecutive boolean tag bytes, read
+// eight bytes (one shard word) at a time.
+func (s *Space) PeekWord(base uint64) (uint64, error) {
+	if !mem.Implemented(base) {
+		return 0, fmt.Errorf("taint: peek word at %#x: unimplemented address bits", base)
+	}
+	if base&(WordUnits*s.Gran.UnitBytes()-1) != 0 {
+		return 0, fmt.Errorf("taint: peek word at %#x: not aligned to %d units", base, WordUnits)
+	}
+	tb, _ := s.Gran.TagAddr(base)
+	if !s.Gran.WholeByte() {
+		v, err := s.peek8(tb)
+		if err != nil {
+			return 0, fmt.Errorf("taint: reading tag word for %#x: %w", base, err)
+		}
+		return v, nil
+	}
+	var bits uint64
+	for i := uint64(0); i < WordUnits/8; i++ {
+		v, err := s.peek8(tb + 8*i)
+		if err != nil {
+			return 0, fmt.Errorf("taint: reading tag word for %#x: %w", base, err)
+		}
+		// Gather bit 0 of each of the eight tag bytes into the top byte:
+		// the multiplier's partial products land on distinct bits, so
+		// byte j's bit ends up at bit 56+j with no carries.
+		bits |= ((v & 0x0101010101010101) * 0x0102040810204080 >> 56) << (8 * i)
+	}
+	return bits, nil
+}
+
+// peek8 reads the aligned 8-byte tag word at tb: under its shard lock
+// through the TLB-free shared accessor when the Space is shared,
+// otherwise through the memory's TLB-neutral Peek8.
+func (s *Space) peek8(tb uint64) (uint64, error) {
+	if s.shards == nil {
+		v, f := s.Mem.Peek8(tb)
+		if f != nil {
+			return 0, f
+		}
+		return v, nil
+	}
+	unlock := s.lockTag(tb)
+	defer unlock()
+	var v uint64
+	for i := uint64(0); i < 8; i++ {
+		b, f := s.Mem.SharedPeek1(tb + i)
+		if f != nil {
+			return 0, f
+		}
+		v |= uint64(b) << (8 * i)
+	}
+	return v, nil
 }
 
 // TaintedBytes returns, for each byte of [addr, addr+n), whether its
