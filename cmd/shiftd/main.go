@@ -12,7 +12,8 @@
 //	shiftd -sweep           run the load harness and print a throughput table
 //
 // Flags: -addr, -pool (guests), -tagpipe (decoupled shadow workers per
-// request; 0 = inline tag maintenance), -selective (instrument only
+// request, 0..tagpipe.MaxWorkers; 0 = inline tag maintenance; anything
+// else exits with status 2), -selective (instrument only
 // statically taint-reachable guest sites; the kept/skipped site counts
 // are exported as shift_selective_sites_* gauges), -sweep-requests,
 // -sweep-max (highest in-flight level, direct mode).
@@ -30,10 +31,10 @@ import (
 	"syscall"
 
 	"shift/internal/instrument"
-	"shift/internal/isa"
 	"shift/internal/metrics"
 	"shift/internal/pool"
 	"shift/internal/shift"
+	"shift/internal/tagpipe"
 	"shift/internal/workload"
 )
 
@@ -41,37 +42,52 @@ import (
 // default H-policies with network+file sources, the decoupled tag
 // pipeline as the checker when workers > 0, and — when selective is
 // set — taint-reachability-pruned instrumentation.
-func buildOptions(tagpipe int, selective bool) shift.Options {
+func buildOptions(workers int, selective bool) shift.Options {
 	return shift.Options{
 		Instrument: true,
 		Policy:     workload.HTTPDConfig(),
-		Decoupled:  tagpipe,
+		Decoupled:  workers,
 		Selective:  selective,
 		InstrStats: new(instrument.Stats),
 	}
 }
 
-// buildPool compiles the guest program and fills the warm pool.
-func buildPool(size, tagpipe int, selective bool) (*pool.Pool, error) {
-	opt := buildOptions(tagpipe, selective)
+// flagError is a flag value rejected before anything is built; main
+// exits with status 2 on it, as shiftrun and shiftbench do.
+type flagError struct{ error }
+
+// exitStatus maps a start-up error to the process exit status.
+func exitStatus(err error) int {
+	var fe flagError
+	if errors.As(err, &fe) {
+		return 2
+	}
+	return 1
+}
+
+// buildPool validates the tag-pipeline worker count, compiles the guest
+// program and fills the warm pool. Serving, -smoke and -sweep all start
+// here. Under selective instrumentation the kept/skipped site counts go
+// to reg.
+func buildPool(size, workers int, selective bool, reg *metrics.Registry) (*pool.Pool, error) {
+	if err := tagpipe.ValidateWorkers(workers); err != nil {
+		return nil, flagError{err}
+	}
+	opt := buildOptions(workers, selective)
 	prog, err := shift.Build([]shift.Source{{Name: "httpd.mc", Text: workload.HTTPDSource}}, opt)
 	if err != nil {
 		return nil, fmt.Errorf("building guest: %w", err)
 	}
+	if selective {
+		shift.RegisterSelectiveMetrics(reg, opt.InstrStats)
+	}
 	return pool.New(prog, size, opt)
-}
-
-// progOnly compiles the guest program (for callers that pool themselves).
-func progOnly(tagpipe int, selective bool) (*isa.Program, shift.Options, error) {
-	opt := buildOptions(tagpipe, selective)
-	prog, err := shift.Build([]shift.Source{{Name: "httpd.mc", Text: workload.HTTPDSource}}, opt)
-	return prog, opt, err
 }
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	poolSize := flag.Int("pool", 4, "warm guests in the pool")
-	tagpipe := flag.Int("tagpipe", 1, "decoupled tag-pipeline workers per request (0 = inline)")
+	workers := flag.Int("tagpipe", 1, fmt.Sprintf("decoupled tag-pipeline workers per request (0 = inline, at most %d)", tagpipe.MaxWorkers))
 	smoke := flag.Bool("smoke", false, "run the smoke check against a live server and exit")
 	sweep := flag.Bool("sweep", false, "run the load harness and exit")
 	sweepRequests := flag.Int("sweep-requests", 2000, "requests per sweep level")
@@ -79,8 +95,16 @@ func main() {
 	selective := flag.Bool("selective", false, "instrument only statically taint-reachable guest sites")
 	flag.Parse()
 
+	reg := metrics.NewRegistry()
+	p, err := buildPool(*poolSize, *workers, *selective, reg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "shiftd:", err)
+		os.Exit(exitStatus(err))
+	}
+	s := newServer(p, reg)
+
 	if *smoke {
-		if err := runSmoke(*poolSize, *tagpipe, *selective); err != nil {
+		if err := runSmoke(s); err != nil {
 			fmt.Fprintln(os.Stderr, "shiftd: smoke: FAIL:", err)
 			os.Exit(1)
 		}
@@ -88,37 +112,21 @@ func main() {
 		return
 	}
 	if *sweep {
-		if err := runSweep(os.Stdout, *poolSize, *tagpipe, *sweepRequests, *sweepMax, *selective); err != nil {
+		if err := runSweep(os.Stdout, s, *poolSize, *workers, *sweepRequests, *sweepMax); err != nil {
 			fmt.Fprintln(os.Stderr, "shiftd: sweep:", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	opt := buildOptions(*tagpipe, *selective)
-	prog, err := shift.Build([]shift.Source{{Name: "httpd.mc", Text: workload.HTTPDSource}}, opt)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "shiftd:", err)
-		os.Exit(1)
-	}
-	p, err := pool.New(prog, *poolSize, opt)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "shiftd:", err)
-		os.Exit(1)
-	}
-	reg := metrics.NewRegistry()
-	if *selective {
-		shift.RegisterSelectiveMetrics(reg, opt.InstrStats)
-	}
-	srv := metrics.NewServer(newServer(p, reg).handler())
-
+	srv := metrics.NewServer(s.handler())
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "shiftd:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("shiftd: serving on http://%s (pool=%d tagpipe=%d, metrics at /metrics)\n",
-		ln.Addr(), *poolSize, *tagpipe)
+		ln.Addr(), *poolSize, *workers)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

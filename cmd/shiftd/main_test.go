@@ -12,18 +12,39 @@ import (
 	"shift/internal/metrics"
 	"shift/internal/pool"
 	"shift/internal/shift"
+	"shift/internal/tagpipe"
 	"shift/internal/workload"
 )
 
 // testServer builds one pooled server per test binary: pool fill means
 // instrumenting the guest once per guest, which dominates test time.
 var testServer = sync.OnceValues(func() (*server, error) {
-	p, err := buildPool(2, 1, false)
+	reg := metrics.NewRegistry()
+	p, err := buildPool(2, 1, false, reg)
 	if err != nil {
 		return nil, err
 	}
-	return newServer(p, metrics.NewRegistry()), nil
+	return newServer(p, reg), nil
 })
+
+// A -tagpipe worker count outside 0..tagpipe.MaxWorkers is rejected
+// before the guest is built, with the validator's message and the
+// flag-error exit status. Before the fix, -1 served with no checker and
+// a huge count started that many summarizer goroutines per request.
+func TestBuildPoolRejectsBadTagpipe(t *testing.T) {
+	for _, n := range []int{-1, tagpipe.MaxWorkers + 1} {
+		p, err := buildPool(1, n, false, metrics.NewRegistry())
+		if err == nil {
+			t.Fatalf("tagpipe=%d: pool built (%d guests), want an error", n, p.Stats().Size)
+		}
+		if want := tagpipe.ValidateWorkers(n); want == nil || err.Error() != want.Error() {
+			t.Errorf("tagpipe=%d: error %q, want the validator's %v", n, err, want)
+		}
+		if got := exitStatus(err); got != 2 {
+			t.Errorf("tagpipe=%d: exit status %d, want 2", n, got)
+		}
+	}
+}
 
 func handlerFixture(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()

@@ -35,13 +35,7 @@ func httpGet(client *http.Client, url string) (int, []byte, error) {
 // benign content served byte-exact, 404 classification, exploit
 // detected with a forensic bundle (both in the 403 body and at
 // /forensics), metrics exposed, and a clean shutdown.
-func runSmoke(poolSize, tagpipe int, selective bool) error {
-	p, err := buildPool(poolSize, tagpipe, selective)
-	if err != nil {
-		return err
-	}
-	reg := metrics.NewRegistry()
-	s := newServer(p, reg)
+func runSmoke(s *server) error {
 	srv := metrics.NewServer(s.handler())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -118,7 +112,7 @@ func runSmoke(poolSize, tagpipe int, selective bool) error {
 	if err := <-done; err != http.ErrServerClosed {
 		return fmt.Errorf("serve loop ended with %v, want ErrServerClosed", err)
 	}
-	st := p.Stats()
+	st := s.pool.Stats()
 	if st.Busy != 0 {
 		return fmt.Errorf("pool busy=%d after shutdown", st.Busy)
 	}
@@ -239,13 +233,7 @@ func runLevel(s *server, base string, client *http.Client, lv level) (*levelResu
 // need 2×10k descriptors; the direct mode measures the same serve path
 // minus the socket). Every level asserts response integrity and full
 // exploit detection.
-func runSweep(w io.Writer, poolSize, tagpipe, requests, maxInflight int, selective bool) error {
-	p, err := buildPool(poolSize, tagpipe, selective)
-	if err != nil {
-		return err
-	}
-	reg := metrics.NewRegistry()
-	s := newServer(p, reg)
+func runSweep(w io.Writer, s *server, poolSize, workers, requests, maxInflight int) error {
 	srv := metrics.NewServer(s.handler())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -274,7 +262,7 @@ func runSweep(w io.Writer, poolSize, tagpipe, requests, maxInflight int, selecti
 		levels = append(levels, level{inflight: inflight, requests: reqs, viaHTTP: false})
 	}
 
-	fmt.Fprintf(w, "shiftd sweep: pool=%d tagpipe=%d\n", poolSize, tagpipe)
+	fmt.Fprintf(w, "shiftd sweep: pool=%d tagpipe=%d\n", poolSize, workers)
 	fmt.Fprintf(w, "%-9s %9s %9s %12s %12s %10s\n", "mode", "inflight", "requests", "req/s", "p50", "p99")
 	for _, lv := range levels {
 		res, err := runLevel(s, base, client, lv)
@@ -288,7 +276,7 @@ func runSweep(w io.Writer, poolSize, tagpipe, requests, maxInflight int, selecti
 		fmt.Fprintf(w, "%-9s %9d %9d %12.1f %12s %10s\n",
 			mode, res.inflight, res.requests, res.reqPerSec, res.p50.Round(time.Microsecond), res.p99.Round(time.Millisecond))
 	}
-	st := p.Stats()
+	st := s.pool.Stats()
 	fmt.Fprintf(w, "pool: %d recycles, %.1f pages restored/recycle, %d tag pages cleared\n",
 		st.Recycles, float64(st.RestoredPages)/float64(max(1, st.Recycles)), st.ClearedPages)
 	return nil

@@ -10,8 +10,9 @@ import (
 
 // benchThroughput measures raw engine speed in guest instructions per
 // second on a tight ALU/load/store/branch mix — the execution engine's
-// headline number, independent of any workload's build pipeline.
-func benchThroughput(b *testing.B, engine Engine) {
+// headline number, independent of any workload's build pipeline. A
+// non-nil hook is attached to every run.
+func benchThroughput(b *testing.B, engine Engine, hook StepHook) {
 	p, err := asm.Assemble(`
 	movl r10 = 2305843009213693952   ; region-1 scratch base
 	movl r1 = 1000
@@ -42,6 +43,7 @@ loop:
 		m.Cache = mem.NewCache(16*1024, 64)
 		mach := New(p, m)
 		mach.Engine = engine
+		mach.Hook = hook
 		mach.OS = benchOS{}
 		mach.GR[isa.RegSP] = int64(mem.Addr(2, 0x10000))
 		if trap := mach.Run(); trap != nil {
@@ -56,11 +58,21 @@ loop:
 }
 
 // BenchmarkStepThroughput runs the default translated-block engine.
-func BenchmarkStepThroughput(b *testing.B) { benchThroughput(b, EngineBlock) }
+func BenchmarkStepThroughput(b *testing.B) { benchThroughput(b, EngineBlock, nil) }
 
 // BenchmarkStepThroughputInterp runs the reference interpreter — the
 // oracle's ground-truth engine and the block engine's comparison point.
-func BenchmarkStepThroughputInterp(b *testing.B) { benchThroughput(b, EngineInterp) }
+func BenchmarkStepThroughputInterp(b *testing.B) { benchThroughput(b, EngineInterp, nil) }
+
+// BenchmarkStepThroughputHooked runs the default engine with a no-op
+// StepHook attached: the cost of hook dispatch alone, on whatever path
+// observed runs take (every checked, traced and served run).
+func BenchmarkStepThroughputHooked(b *testing.B) { benchThroughput(b, EngineBlock, nopHook{}) }
+
+type nopHook struct{}
+
+func (nopHook) PreStep(*Machine, *isa.Instruction)        {}
+func (nopHook) PostStep(*Machine, *isa.Instruction) error { return nil }
 
 type benchOS struct{}
 

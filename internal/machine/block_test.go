@@ -289,9 +289,13 @@ func TestEngineParitySlices(t *testing.T) {
 	}
 }
 
-// TestEngineParityHooked runs the block engine's per-instruction careful
-// driver (hook attached) against the interpreter with the same hook,
-// checking the hook observes the identical retirement stream.
+// TestEngineParityHooked runs every corpus program three ways: the
+// default block engine with a recording hook and stats attached, the
+// interpreter with the same hook and stats, and the block engine with
+// no hook. The two hooked runs must deliver the identical hook stream
+// and per-opcode counts, and all three must agree on architectural
+// state, cycles and traps: attaching an observer never moves what the
+// guest computes or what it costs.
 func TestEngineParityHooked(t *testing.T) {
 	for _, tc := range parityPrograms {
 		t.Run(tc.name, func(t *testing.T) {
@@ -306,7 +310,11 @@ func TestEngineParityHooked(t *testing.T) {
 			got.Hook = &recordingHook{pcs: &gotSeen}
 			got.EnableStats()
 			gotTrap := got.Run()
-			compareMachines(t, tc.name, ref, got, refTrap, gotTrap)
+			bare := newTestMachine(t, tc.src, EngineBlock, tc.setup)
+			bare.Feat = tc.feat
+			bareTrap := bare.Run()
+			compareMachines(t, tc.name+" hooked", ref, got, refTrap, gotTrap)
+			compareMachines(t, tc.name+" hook-free", ref, bare, refTrap, bareTrap)
 			if len(refSeen) != len(gotSeen) {
 				t.Fatalf("hook stream length: interp=%d block=%d", len(refSeen), len(gotSeen))
 			}

@@ -257,21 +257,16 @@ type Machine struct {
 	// thread. The unsafe mode exists to reproduce the hazard on demand.
 	UnsafePreempt bool
 
-	// Engine selects the execution engine for Run and scheduler slices
-	// (see block.go). The zero value is the block engine; Step always
-	// uses the interpreter.
+	// Engine selects the execution engine for hook-free Run and
+	// scheduler slices (see block.go). The zero value is the block
+	// engine. Step, and any run with Hook or Stats set, always uses the
+	// interpreter.
 	Engine Engine
 
 	// BlockStats counts this machine's translation-cache traffic under
-	// the block engine. Reset zeroes the counters (like Cycles/Retired);
-	// the cache itself survives.
+	// the block engine (hook-free runs only). Reset zeroes the counters
+	// (like Cycles/Retired); the cache itself survives.
 	BlockStats BlockStats
-
-	// nextPC is the block engine's successor-PC scratch slot: terminator
-	// micro-ops publish where control goes next, and the driver commits
-	// it to PC only after the PostStep hook has observed the instruction
-	// (matching the interpreter's PostStep-before-advance ordering).
-	nextPC int
 
 	// tc is the attached translation cache; tcText is the text slice it
 	// was last validated against (the per-slice identity fast path).
@@ -804,25 +799,14 @@ func (m *Machine) exec(text []isa.Instruction, budget, sliceEnd uint64, single b
 			}
 		}
 		m.PC = next
+		// Quantum expiry is tag-coherent: a slice ends only where the
+		// next instruction is original-program code (or the PC left the
+		// text), so a data store and its Figure-5 tag update always
+		// retire together. UnsafePreempt lifts the rule (§4.4 hazard).
 		if single || m.Halted || m.YieldReq || (m.Cycles >= sliceEnd && (unsafePre || uint(m.PC) >= n || text[m.PC].Class == isa.ClassOrig)) {
 			return nil
 		}
 	}
-}
-
-// sliceBoundary reports whether the current PC is a point where a
-// quantum expiry may end the time slice. The default is tag-coherent
-// preemption: a slice ends only when the next instruction to run is an
-// original-program instruction (or the PC left the text), so an
-// instrumentation block — in particular the data-store-to-tag-update
-// pair of Figure 5 — always retires whole before a sibling thread runs.
-// That atomicity is what makes the tag bitmap coherent across threads
-// and the lockstep oracle's cross-thread checks sound. UnsafePreempt
-// disables the rule to reproduce the §4.4 hazard. Yields, halts and
-// traps are unaffected: the yield/join syscalls are original
-// instructions, so they already sit on block boundaries.
-func (m *Machine) sliceBoundary(text []isa.Instruction) bool {
-	return m.UnsafePreempt || uint(m.PC) >= uint(len(text)) || text[m.PC].Class == isa.ClassOrig
 }
 
 // read performs a data read and reports whether it missed in the L1 model.
