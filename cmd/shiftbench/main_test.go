@@ -72,7 +72,7 @@ func TestFlagValidation(t *testing.T) {
 // A valid -tagpipe value is accepted; table1 is static, so this stays
 // fast while still walking the full flag path.
 func TestTagpipeFlagAccepted(t *testing.T) {
-	code, out, errb := runCmd(t, "-tagpipe", "4", "-experiment", "table1")
+	code, out, errb := runCmd(t, "-tagpipe", "1", "-experiment", "table1")
 	if code != 0 {
 		t.Fatalf("exit %d\n%s", code, errb)
 	}

@@ -11,9 +11,9 @@
 //	shiftd -smoke           start, verify benign/404/exploit handling, exit
 //	shiftd -sweep           run the load harness and print a throughput table
 //
-// Flags: -addr, -pool (guests), -tagpipe (decoupled shadow workers per
-// request, 0..tagpipe.MaxWorkers; 0 = inline tag maintenance; anything
-// else exits with status 2), -selective (instrument only
+// Flags: -addr, -pool (guests), -tagpipe (1 = check each request on the
+// decoupled tag pipeline, 0 = inline tag maintenance; anything else
+// exits with status 2), -selective (instrument only
 // statically taint-reachable guest sites; the kept/skipped site counts
 // are exported as shift_selective_sites_* gauges), -sweep-requests,
 // -sweep-max (highest in-flight level, direct mode).
@@ -40,13 +40,13 @@ import (
 
 // buildOptions is the server's run configuration: instrumented guest,
 // default H-policies with network+file sources, the decoupled tag
-// pipeline as the checker when workers > 0, and — when selective is
+// pipeline as the checker when tagpipeN is 1, and — when selective is
 // set — taint-reachability-pruned instrumentation.
-func buildOptions(workers int, selective bool) shift.Options {
+func buildOptions(tagpipeN int, selective bool) shift.Options {
 	return shift.Options{
 		Instrument: true,
 		Policy:     workload.HTTPDConfig(),
-		Decoupled:  workers,
+		Decoupled:  tagpipeN,
 		Selective:  selective,
 		InstrStats: new(instrument.Stats),
 	}
@@ -65,15 +65,14 @@ func exitStatus(err error) int {
 	return 1
 }
 
-// buildPool validates the tag-pipeline worker count, compiles the guest
-// program and fills the warm pool. Serving, -smoke and -sweep all start
-// here. Under selective instrumentation the kept/skipped site counts go
-// to reg.
-func buildPool(size, workers int, selective bool, reg *metrics.Registry) (*pool.Pool, error) {
-	if err := tagpipe.ValidateWorkers(workers); err != nil {
+// buildPool validates the -tagpipe value, compiles the guest program and
+// fills the warm pool. Serving, -smoke and -sweep all start here. Under
+// selective instrumentation the kept/skipped site counts go to reg.
+func buildPool(size, tagpipeN int, selective bool, reg *metrics.Registry) (*pool.Pool, error) {
+	if err := tagpipe.ValidateFlag(tagpipeN); err != nil {
 		return nil, flagError{err}
 	}
-	opt := buildOptions(workers, selective)
+	opt := buildOptions(tagpipeN, selective)
 	prog, err := shift.Build([]shift.Source{{Name: "httpd.mc", Text: workload.HTTPDSource}}, opt)
 	if err != nil {
 		return nil, fmt.Errorf("building guest: %w", err)
@@ -87,7 +86,7 @@ func buildPool(size, workers int, selective bool, reg *metrics.Registry) (*pool.
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	poolSize := flag.Int("pool", 4, "warm guests in the pool")
-	workers := flag.Int("tagpipe", 1, fmt.Sprintf("decoupled tag-pipeline workers per request (0 = inline, at most %d)", tagpipe.MaxWorkers))
+	tagpipeN := flag.Int("tagpipe", 1, "1 = check each request on the decoupled tag pipeline, 0 = inline checking")
 	smoke := flag.Bool("smoke", false, "run the smoke check against a live server and exit")
 	sweep := flag.Bool("sweep", false, "run the load harness and exit")
 	sweepRequests := flag.Int("sweep-requests", 2000, "requests per sweep level")
@@ -96,7 +95,7 @@ func main() {
 	flag.Parse()
 
 	reg := metrics.NewRegistry()
-	p, err := buildPool(*poolSize, *workers, *selective, reg)
+	p, err := buildPool(*poolSize, *tagpipeN, *selective, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "shiftd:", err)
 		os.Exit(exitStatus(err))
@@ -112,7 +111,7 @@ func main() {
 		return
 	}
 	if *sweep {
-		if err := runSweep(os.Stdout, s, *poolSize, *workers, *sweepRequests, *sweepMax); err != nil {
+		if err := runSweep(os.Stdout, s, *poolSize, *tagpipeN, *sweepRequests, *sweepMax); err != nil {
 			fmt.Fprintln(os.Stderr, "shiftd: sweep:", err)
 			os.Exit(1)
 		}
@@ -126,7 +125,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("shiftd: serving on http://%s (pool=%d tagpipe=%d, metrics at /metrics)\n",
-		ln.Addr(), *poolSize, *workers)
+		ln.Addr(), *poolSize, *tagpipeN)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

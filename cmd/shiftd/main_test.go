@@ -27,17 +27,16 @@ var testServer = sync.OnceValues(func() (*server, error) {
 	return newServer(p, reg), nil
 })
 
-// A -tagpipe worker count outside 0..tagpipe.MaxWorkers is rejected
-// before the guest is built, with the validator's message and the
-// flag-error exit status. Before the fix, -1 served with no checker and
-// a huge count started that many summarizer goroutines per request.
+// A -tagpipe value other than 0 or 1 is rejected before the guest is
+// built, with the validator's message and the flag-error exit status.
+// -1 once served with no checker at all.
 func TestBuildPoolRejectsBadTagpipe(t *testing.T) {
-	for _, n := range []int{-1, tagpipe.MaxWorkers + 1} {
+	for _, n := range []int{-1, 2, 257} {
 		p, err := buildPool(1, n, false, metrics.NewRegistry())
 		if err == nil {
 			t.Fatalf("tagpipe=%d: pool built (%d guests), want an error", n, p.Stats().Size)
 		}
-		if want := tagpipe.ValidateWorkers(n); want == nil || err.Error() != want.Error() {
+		if want := tagpipe.ValidateFlag(n); want == nil || err.Error() != want.Error() {
 			t.Errorf("tagpipe=%d: error %q, want the validator's %v", n, err, want)
 		}
 		if got := exitStatus(err); got != 2 {

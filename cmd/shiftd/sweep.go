@@ -233,7 +233,7 @@ func runLevel(s *server, base string, client *http.Client, lv level) (*levelResu
 // need 2×10k descriptors; the direct mode measures the same serve path
 // minus the socket). Every level asserts response integrity and full
 // exploit detection.
-func runSweep(w io.Writer, s *server, poolSize, workers, requests, maxInflight int) error {
+func runSweep(w io.Writer, s *server, poolSize, tagpipeN, requests, maxInflight int) error {
 	srv := metrics.NewServer(s.handler())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -262,7 +262,7 @@ func runSweep(w io.Writer, s *server, poolSize, workers, requests, maxInflight i
 		levels = append(levels, level{inflight: inflight, requests: reqs, viaHTTP: false})
 	}
 
-	fmt.Fprintf(w, "shiftd sweep: pool=%d tagpipe=%d\n", poolSize, workers)
+	fmt.Fprintf(w, "shiftd sweep: pool=%d tagpipe=%d\n", poolSize, tagpipeN)
 	fmt.Fprintf(w, "%-9s %9s %9s %12s %12s %10s\n", "mode", "inflight", "requests", "req/s", "p50", "p99")
 	for _, lv := range levels {
 		res, err := runLevel(s, base, client, lv)

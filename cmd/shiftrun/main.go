@@ -30,8 +30,8 @@
 // into the simulated filesystem, -arg appends a program argument.
 // -oracle runs the lockstep reference DIFT engine alongside execution and
 // reports any divergence between the tag machinery and plain shadow
-// interpretation (exit status 4). -tagpipe N moves that shadow checking
-// off the hot loop onto N asynchronous pipeline workers that drain at
+// interpretation (exit status 4). -tagpipe 1 moves that shadow checking
+// off the hot loop onto the decoupled tag pipeline, which drains at
 // policy sinks — same verdicts, decoupled propagation (0 = inline).
 //
 // -trace records the taint-lifecycle flight recorder to a JSONL file
@@ -87,7 +87,7 @@ func main() {
 	counters := flag.Bool("counters", false, "print cycle and instruction counters")
 	profile := flag.Bool("profile", false, "print the per-function execution profile")
 	oracleOn := flag.Bool("oracle", false, "cross-check tag state against a lockstep reference engine")
-	tagpipeN := flag.Int("tagpipe", 0, "decoupled tag-pipeline worker count (0 = inline checking)")
+	tagpipeN := flag.Int("tagpipe", 0, "1 = check on the decoupled tag pipeline, 0 = inline checking")
 	serialized := flag.Bool("serialized-tags", false, "serialize byte-level bitmap updates with a cmpxchg retry loop")
 	unsafePreempt := flag.Bool("unsafe-preempt", false, "allow preemption between a data store and its tag update (reproduces the paper's §4.4 hazard)")
 	quantum := flag.Uint64("quantum", 0, "scheduler time slice in cycles for threaded guests (0 = default)")
@@ -106,7 +106,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := tagpipe.ValidateWorkers(*tagpipeN); err != nil {
+	if err := tagpipe.ValidateFlag(*tagpipeN); err != nil {
 		fmt.Fprintln(os.Stderr, "shiftrun:", err)
 		os.Exit(2)
 	}
@@ -232,8 +232,8 @@ func main() {
 	}
 	if *tagpipeN > 0 && res.Pipe != nil {
 		s := &res.Pipe.Stats
-		fmt.Printf("tagpipe: %d records in %d segments (%d direct), %d stalls, %d drains, %d sweeps\n",
-			s.Records.Load(), s.Segments.Load(), s.DirectSegs.Load(),
+		fmt.Printf("tagpipe: %d records in %d segments, %d stalls, %d drains, %d sweeps\n",
+			s.Records.Load(), s.Segments.Load(),
 			s.Stalls.Load(), s.Drains.Load(), s.Sweeps.Load())
 	}
 	if *selective && *protect {

@@ -69,11 +69,11 @@ void main() {
 }
 `
 
-// An invalid -tagpipe worker count is a usage error (exit 2), not a
+// A -tagpipe value other than 0 or 1 is a usage error (exit 2), not a
 // silent fallback.
 func TestTagpipeFlagValidation(t *testing.T) {
 	prog := writeProg(t, tinyProg)
-	for _, bad := range []string{"-1", "257", "1000000"} {
+	for _, bad := range []string{"-1", "2", "257", "1000000"} {
 		code, _, errb := runCmd(t, "-tagpipe", bad, prog)
 		if code != 2 {
 			t.Errorf("-tagpipe %s: exit %d, want 2 (stderr: %s)", bad, code, errb)
@@ -93,7 +93,7 @@ func TestEngineFlagValidation(t *testing.T) {
 	}
 }
 
-// -tagpipe N runs the program under the decoupled pipeline: same guest
+// -tagpipe 1 runs the program under the decoupled pipeline: same guest
 // output and exit status as the inline run, plus a pipeline stats line.
 func TestTagpipeRunMatchesInline(t *testing.T) {
 	prog := writeProg(t, tinyProg)
@@ -103,7 +103,7 @@ func TestTagpipeRunMatchesInline(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("inline run: exit %d\n%s", code, errb)
 	}
-	code, pipedOut, errb := runCmd(t, append([]string{"-tagpipe", "3"}, common...)...)
+	code, pipedOut, errb := runCmd(t, append([]string{"-tagpipe", "1"}, common...)...)
 	if code != 0 {
 		t.Fatalf("decoupled run: exit %d\n%s", code, errb)
 	}

@@ -22,11 +22,11 @@ import (
 // knob exists for performance comparison and differential testing.
 var Engine machine.Engine
 
-// Tagpipe sets the decoupled tag-pipeline worker count for instrumented
-// benchmark runs (cmd/shiftbench's -tagpipe flag). Zero — the default —
-// keeps checking inline; N > 0 moves shadow propagation onto N
-// asynchronous workers draining at sinks, which changes throughput but
-// not verdicts (see DESIGN.md "Decoupled tag pipeline").
+// Tagpipe selects the checker of instrumented benchmark runs
+// (cmd/shiftbench's -tagpipe flag). Zero — the default — keeps checking
+// inline; 1 moves shadow propagation onto the decoupled tag pipeline,
+// draining at sinks, which changes throughput but not verdicts (see
+// DESIGN.md "Decoupled tag pipeline").
 var Tagpipe int
 
 // Selective makes every instrumented benchmark run use selective

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"strings"
 
-	"shift/internal/isa"
 	"shift/internal/machine"
 )
 
@@ -86,16 +85,10 @@ func (d *Divergence) Error() string {
 // register that is non-zero, NaT'd or shadow-tainted, one per line.
 func (o *Oracle) snapshot(m *machine.Machine) string {
 	var b strings.Builder
-	rs := o.regs(m.TID)
 	fmt.Fprintf(&b, "  tid=%d pc=%d retired=%d cycles=%d halted=%v\n",
 		m.TID, m.PC, m.Retired, m.Cycles, m.Halted)
 	fmt.Fprintf(&b, "  UNAT=%#x CCV=%#x\n", m.UNAT, m.CCV)
-	for r := 0; r < isa.NumGR; r++ {
-		if m.GR[r] == 0 && !m.NaT[r] && !rs.taint[r] {
-			continue
-		}
-		fmt.Fprintf(&b, "  r%-3d = %#-18x nat=%-5v shadow=%v\n", r, uint64(m.GR[r]), m.NaT[r], rs.taint[r])
-	}
+	o.WriteRegs(&b, m)
 	if n := len(o.pending); n > 0 {
 		fmt.Fprintf(&b, "  pending unit checks: %d\n", n)
 	}

@@ -3,18 +3,17 @@ package oracle
 import (
 	"shift/internal/isa"
 	"shift/internal/machine"
-	"shift/internal/shadow"
 	"shift/internal/taint"
 )
 
-// FirstReservedReg is the first instrumentation-reserved register.
+// firstReservedReg is the first instrumentation-reserved register.
 // Original-program registers are r1..r118: r119..r127 are reserved by the
 // instrumentation pass (scratch, kept mask, NaT source) and are routinely
-// NaT'd or laundered, so they carry no reference-taint meaning. Exported
-// for the decoupled tag pipeline, which runs the same boundary sweeps.
-const FirstReservedReg = 119
+// NaT'd or laundered, so they carry no reference-taint meaning.
+const firstReservedReg = 119
 
-// Config selects what the oracle checks.
+// Config selects what the checkers check: the lockstep oracle here and
+// the decoupled tag pipeline, which runs on the same State.
 type Config struct {
 	// Tags is the tag bitmap under test; nil disables all bitmap
 	// cross-checks (e.g. a bare machine run with no tag space).
@@ -34,21 +33,6 @@ type Config struct {
 	UnsafePreempt bool
 }
 
-// regShadow is one thread's register taint state.
-type regShadow struct {
-	taint [isa.NumGR]bool
-	// ccv is the shadow taint of the ar.ccv compare value.
-	ccv bool
-	// pre-state captured by PreStep for the instruction in flight.
-	squashed bool
-	addr     uint64
-	deferred bool
-	ccvPre   uint64
-	xchgOld  uint64 // memory word a cmpxchg saw (Dest may be r0)
-	r8       int64
-	r8NaT    bool
-}
-
 // Stats counts the cross-checks performed, for reporting.
 type Stats struct {
 	Steps      uint64 // instructions observed
@@ -58,20 +42,16 @@ type Stats struct {
 }
 
 // Oracle is the lockstep reference engine. It implements
-// machine.StepHook and the shift package's HostEffects interface.
+// machine.StepHook and, through its State, the shift package's
+// HostEffects interface. Each retired instruction is encoded into a
+// taint record and applied at once; on top of that the oracle runs the
+// strong cross-checks at every original-instruction boundary.
 type Oracle struct {
-	cfg Config
+	*State
 
-	mem     *shadow.Memory
-	threads map[int]*regShadow
+	enc     Encoder
+	rec     Rec      // the instruction in flight, encoded
 	pending []uint64 // units awaiting a bitmap check at the next boundary
-
-	// concurrent latches when a second thread spawns under
-	// Config.UnsafePreempt: only then are the store-to-tag-update
-	// windows of one thread observable by the others (the §4.4
-	// atomicity gap), making bitmap and register-equality checks
-	// unsound. Tag-coherent scheduling (the default) never sets it.
-	concurrent bool
 
 	failure *Divergence
 	Stats   Stats
@@ -80,15 +60,7 @@ type Oracle struct {
 // New builds an oracle. Attach it with Attach (or machine.Machine.Hook),
 // and wire it as the world's HostEffects to mirror syscall writes.
 func New(cfg Config) *Oracle {
-	gran := taint.Byte
-	if cfg.Tags != nil {
-		gran = cfg.Tags.Gran
-	}
-	return &Oracle{
-		cfg:     cfg,
-		mem:     shadow.New(gran),
-		threads: make(map[int]*regShadow),
-	}
+	return &Oracle{State: NewState(cfg), enc: Encoder{Instrumented: cfg.Instrumented}}
 }
 
 // Attach installs the oracle as the machine's step hook.
@@ -99,25 +71,19 @@ func (o *Oracle) Attach(m *machine.Machine) {
 // Divergence returns the first divergence found, or nil.
 func (o *Oracle) Divergence() *Divergence { return o.failure }
 
-// regs returns (creating on first use) the shadow for a thread.
-func (o *Oracle) regs(tid int) *regShadow {
-	rs := o.threads[tid]
-	if rs == nil {
-		rs = &regShadow{}
-		o.threads[tid] = rs
+// OnSpawn applies the spawn rule to the shadow and, if that made the
+// strong checks stand down (Config.UnsafePreempt), drops the queued unit
+// checks: they will never run.
+func (o *Oracle) OnSpawn(parentTID, childTID int) {
+	o.State.OnSpawn(parentTID, childTID)
+	if !o.Checking() {
+		o.pending = o.pending[:0]
 	}
-	return rs
 }
 
-// setMem writes the shadow taint of every unit covering the access. An
-// authoritative store (one the instrumentation pass follows with a tag
-// update) also queues the units for a bitmap cross-check at the next
-// original-instruction boundary.
-func (o *Oracle) setMem(addr uint64, size int, t, authoritative bool) {
-	o.mem.Set(addr, size, t, authoritative)
-	if !authoritative || o.concurrent {
-		return
-	}
+// queue schedules the units an authoritative store covered for a bitmap
+// cross-check at the next original-instruction boundary.
+func (o *Oracle) queue(addr uint64, size int) {
 	unit := o.mem.UnitBytes()
 	for u := o.mem.UnitOf(addr); u < o.mem.UnitOf(addr+uint64(size)-1)+unit; u += unit {
 		o.pending = append(o.pending, u)
@@ -125,7 +91,8 @@ func (o *Oracle) setMem(addr uint64, size int, t, authoritative bool) {
 }
 
 // fail records the first divergence (later ones are ignored) and returns
-// it as the error PostStep hands to the machine.
+// it as the error PostStep hands to the machine. The strong checks stand
+// down from then on.
 func (o *Oracle) fail(m *machine.Machine, ins *isa.Instruction, d Divergence) error {
 	if o.failure != nil {
 		return o.failure
@@ -135,6 +102,7 @@ func (o *Oracle) fail(m *machine.Machine, ins *isa.Instruction, d Divergence) er
 	d.Ins = ins.String()
 	d.Snapshot = o.snapshot(m)
 	o.failure = &d
+	o.strong = false
 	return o.failure
 }
 
@@ -164,27 +132,21 @@ func (o *Oracle) flush(m *machine.Machine, ins *isa.Instruction, skip int) error
 		}
 	}
 	o.pending = o.pending[:0]
-	rs := o.regs(m.TID)
-	for r := 1; r < FirstReservedReg; r++ {
-		if r == skip {
-			continue
-		}
-		o.Stats.RegChecks++
-		if m.NaT[r] != rs.taint[r] {
-			return o.fail(m, ins, Divergence{Kind: DivRegister, Reg: uint8(r), Machine: m.NaT[r], Shadow: rs.taint[r]})
-		}
+	n, d := o.CheckRegs(m, skip)
+	o.Stats.RegChecks += n
+	if d != nil {
+		return o.fail(m, ins, *d)
 	}
 	return nil
 }
 
-// sweep cross-checks every non-hidden unit the shadow knows about
-// against the bitmap, in address order.
+// sweep runs the full bitmap sweep and counts it.
 func (o *Oracle) sweep(m *machine.Machine, ins *isa.Instruction) error {
 	o.Stats.Sweeps++
-	checks, mm, found := o.mem.Sweep(o.cfg.Tags)
-	o.Stats.UnitChecks += checks
-	if found {
-		return o.fail(m, ins, Divergence{Kind: DivBitmap, Addr: mm.Addr, Machine: mm.Bitmap, Shadow: mm.Shadow})
+	n, d := o.Sweep(m)
+	o.Stats.UnitChecks += n
+	if d != nil {
+		return o.fail(m, ins, *d)
 	}
 	return nil
 }
@@ -195,7 +157,7 @@ func (o *Oracle) Finish(m *machine.Machine) error {
 	if o.failure != nil {
 		return o.failure
 	}
-	if !o.checking() {
+	if !o.Checking() {
 		return nil
 	}
 	nop := isa.Instruction{Op: isa.OpNop}
@@ -203,10 +165,4 @@ func (o *Oracle) Finish(m *machine.Machine) error {
 		return err
 	}
 	return o.sweep(m, &nop)
-}
-
-// checking reports whether the strong (tag-state vs shadow) checks are
-// sound right now.
-func (o *Oracle) checking() bool {
-	return o.cfg.Instrumented && o.cfg.Tags != nil && !o.concurrent && o.failure == nil
 }

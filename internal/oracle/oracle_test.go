@@ -263,12 +263,12 @@ func TestOracleSpawnKeepsChecking(t *testing.T) {
 	m, tags := buildMachine(t, []isa.Instruction{{Op: isa.OpNop}}, taint.Byte)
 	_ = m
 	o := New(Config{Tags: tags, Instrumented: true})
-	if !o.checking() {
+	if !o.Checking() {
 		t.Fatal("oracle not checking before spawn")
 	}
 	o.regs(0).taint[isa.RegArg0+1] = true
 	o.OnSpawn(0, 1)
-	if !o.checking() {
+	if !o.Checking() {
 		t.Error("strong checks stood down after spawn despite coherent scheduling")
 	}
 	if !o.regs(1).taint[isa.RegArg0] {
@@ -278,7 +278,7 @@ func TestOracleSpawnKeepsChecking(t *testing.T) {
 	u := New(Config{Tags: tags, Instrumented: true, UnsafePreempt: true})
 	u.regs(0).taint[isa.RegArg0+1] = true
 	u.OnSpawn(0, 1)
-	if u.checking() {
+	if u.Checking() {
 		t.Error("strong checks still on after spawn under UnsafePreempt")
 	}
 	if !u.regs(1).taint[isa.RegArg0] {

@@ -86,11 +86,11 @@ type Options struct {
 	// shadow-taint interpretation. A disagreement stops the run with a
 	// TrapOracle carrying a full divergence report (Result.Trap).
 	Oracle bool
-	// Decoupled, when > 0, runs the decoupled tag pipeline with that many
-	// shadow-propagation workers: tag state is maintained asynchronously
-	// over a retirement log and every policy sink drains the log before
-	// its verdict. Verdicts are equivalent to the inline oracle's; the
-	// strong cross-checks run at sink granularity instead of at every
+	// Decoupled > 0 runs the decoupled tag pipeline: tag state is
+	// maintained asynchronously over a retirement log by one committer
+	// goroutine, and every policy sink drains the log before its
+	// verdict. Verdicts are equivalent to the inline oracle's; the strong
+	// cross-checks run at sink granularity instead of at every
 	// original-instruction boundary (see DESIGN.md "Decoupled tag
 	// pipeline"). Composable with Oracle for differential testing.
 	Decoupled int
@@ -329,7 +329,6 @@ func RunOn(mach *machine.Machine, world *World, opt Options) (*Result, error) {
 			Tags:          world.Tags,
 			Instrumented:  opt.Instrument,
 			UnsafePreempt: opt.UnsafePreempt,
-			Workers:       opt.Decoupled,
 			SegRecords:    opt.DecoupledWindow,
 		})
 		defer pipe.Close()

@@ -6,6 +6,7 @@ import (
 	"shift/internal/isa"
 	"shift/internal/machine"
 	"shift/internal/mem"
+	"shift/internal/oracle"
 	"shift/internal/taint"
 )
 
@@ -29,19 +30,19 @@ var (
 // source, store it to the destination (an authoritative store), plus
 // clean ALU traffic, ending with the carrying register cleared so the
 // final register sweep agrees with a NaT-free machine.
-func requestStream() []rec {
-	recs := make([]rec, 0, reqRecords)
+func requestStream() []oracle.Rec {
+	recs := make([]oracle.Rec, 0, reqRecords)
 	for i := uint64(0); len(recs) < reqRecords-1; i = (i + 8) % reqBytes {
 		pc := int32(len(recs))
 		recs = append(recs,
-			rec{kind: rLoad, op: isa.OpLd, dest: 5, s1: 1, size: 8, pc: pc, addr: reqSrc + i},
-			rec{kind: rStore, op: isa.OpSt, s1: 2, s2: 5, size: 8, flags: fAuth, pc: pc + 1, addr: reqDst + i},
-			rec{kind: rUnion2, op: isa.OpAdd, dest: 6, s1: 6, s2: 7, pc: pc + 2},
-			rec{kind: rCopy, op: isa.OpAddi, dest: 1, s1: 1, pc: pc + 3},
+			oracle.Rec{Kind: oracle.RecLoad, Op: isa.OpLd, Dest: 5, S1: 1, Size: 8, PC: pc, Addr: reqSrc + i},
+			oracle.Rec{Kind: oracle.RecStore, Op: isa.OpSt, S1: 2, S2: 5, Size: 8, Flags: oracle.FlagAuth, PC: pc + 1, Addr: reqDst + i},
+			oracle.Rec{Kind: oracle.RecUnion2, Op: isa.OpAdd, Dest: 6, S1: 6, S2: 7, PC: pc + 2},
+			oracle.Rec{Kind: oracle.RecCopy, Op: isa.OpAddi, Dest: 1, S1: 1, PC: pc + 3},
 		)
 	}
 	recs = recs[:reqRecords-1]
-	return append(recs, rec{kind: rClear, op: isa.OpMovl, dest: 5, pc: reqRecords - 1})
+	return append(recs, oracle.Rec{Kind: oracle.RecClear, Op: isa.OpMovl, Dest: 5, PC: reqRecords - 1})
 }
 
 // requestSpace returns a tag space whose bitmap already holds what the
@@ -63,13 +64,13 @@ func requestSpace(tb testing.TB, g taint.Granularity) (*machine.Machine, *taint.
 // request stream applied to the shadow state.
 func BenchmarkApplyRec(b *testing.B) {
 	_, tags := requestSpace(b, taint.Byte)
-	st := newState(Config{Tags: tags, Instrumented: true})
-	st.mem.HostTaint(reqSrc, reqBytes)
+	st := oracle.NewState(oracle.Config{Tags: tags, Instrumented: true})
+	st.HostTaint(reqSrc, reqBytes)
 	recs := requestStream()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if d := st.applyRec(&recs[i%len(recs)]); d != nil {
+		if d := st.Apply(&recs[i%len(recs)]); d != nil {
 			b.Fatal(d)
 		}
 	}
@@ -87,14 +88,14 @@ func BenchmarkPipelineRun(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p := New(Config{Tags: tags, Instrumented: true, Workers: 1})
+				p := New(Config{Tags: tags, Instrumented: true})
 				p.HostWrite(reqSrc, reqBytes)
 				p.HostTaint(reqSrc, reqBytes)
 				for k := range recs {
 					p.emit(recs[k])
 					if (k+1)%per == 0 {
 						p.drain()
-						if d := p.st.sweep(tags, m, "sink", &p.Stats); d != nil {
+						if _, d := p.st.Sweep(m); d != nil {
 							b.Fatal(d)
 						}
 					}

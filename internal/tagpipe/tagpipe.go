@@ -3,12 +3,11 @@
 // paper's separate tag-datapath argument and of the trace-fed DIFT
 // coprocessor line of work.
 //
-// The execution engine (producer) emits one compact record per retired
-// instruction — the instruction's taint-transfer function plus the
-// pre-state the lockstep oracle would have captured — into a bounded
-// ring of segments. N workers turn segments into symbolic transfer-
-// function summaries in parallel; a single committer composes the
-// summaries onto the committed shadow state in retirement order.
+// The execution engine (producer) encodes one compact record per
+// retired instruction — the oracle package's encoder, so the record is
+// the same one the lockstep oracle applies — into a bounded ring of
+// segments. A single committer goroutine applies each segment's records
+// to the committed shadow state (oracle.State) in retirement order.
 // Policy-relevant sinks (syscalls, chk.s recoveries, host effects on
 // guest memory) are synchronization points: the producer drains the
 // ring, so every verdict is rendered against fully propagated state.
@@ -25,6 +24,7 @@ package tagpipe
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -33,17 +33,12 @@ import (
 	"shift/internal/taint"
 )
 
-// MaxWorkers bounds Config.Workers and the CLI -tagpipe flag. Worker
-// goroutines beyond the host's core count only add scheduling overhead;
-// the cap exists to turn a typo'd worker count into a usage error
-// rather than a thousand idle goroutines.
-const MaxWorkers = 256
-
-// ValidateWorkers checks a -tagpipe style worker count: 0 keeps
-// checking inline (no pipeline), 1..MaxWorkers enable the pipeline.
-func ValidateWorkers(n int) error {
-	if n < 0 || n > MaxWorkers {
-		return fmt.Errorf("invalid tagpipe worker count %d (want 0..%d; 0 = inline)", n, MaxWorkers)
+// ValidateFlag checks a -tagpipe flag value: 0 keeps checking inline,
+// 1 runs the decoupled pipeline. Every command that takes the flag
+// rejects anything else with this message.
+func ValidateFlag(n int) error {
+	if n != 0 && n != 1 {
+		return fmt.Errorf("invalid -tagpipe value %d (want 0 = inline checking or 1 = decoupled pipeline)", n)
 	}
 	return nil
 }
@@ -60,10 +55,6 @@ type Config struct {
 	// UnsafePreempt mirrors machine.Machine.UnsafePreempt: the strong
 	// checks stand down once a second thread spawns.
 	UnsafePreempt bool
-	// Workers is the number of summarization workers (min 1). With one
-	// worker every segment takes the direct path — raw records applied in
-	// order — which is the reference behaviour the symbolic path must match.
-	Workers int
 	// SegRecords is the record capacity of one ring segment (default 256).
 	SegRecords int
 	// Segments is the ring depth in segments (default 64). The lag window
@@ -73,15 +64,13 @@ type Config struct {
 	Segments int
 }
 
-// Stats are the pipeline's own counters, all safe for concurrent access:
-// the producer, workers and committer update them from their own
-// goroutines.
+// Stats are the pipeline's own counters, all safe for concurrent access
+// (metrics read them while the run is in flight).
 type Stats struct {
 	Records    atomic.Uint64 // retirement-log records emitted
 	Segments   atomic.Uint64 // segments submitted
 	Stalls     atomic.Uint64 // producer waits for a free segment
 	Drains     atomic.Uint64 // sink synchronizations
-	DirectSegs atomic.Uint64 // segments applied record-by-record (no summary)
 	RegChecks  atomic.Uint64 // register boundary comparisons at sinks
 	UnitChecks atomic.Uint64 // bitmap unit comparisons at sinks
 	Sweeps     atomic.Uint64 // syscall/final bitmap sweeps
@@ -93,27 +82,17 @@ type Stats struct {
 // the execution goroutine only.
 type Pipeline struct {
 	cfg Config
-	st  *state
-
-	// Producer scratch for the instruction in flight (one goroutine, one
-	// instruction at a time — mirrors the oracle's per-thread pre-state,
-	// collapsed because the scheduler never preempts mid-instruction).
-	squashed bool
-	addr     uint64
-	deferred bool
-	ccvPre   uint64
-	xchgOld  uint64
-	r8       int64
-	r8NaT    bool
+	st  *oracle.State
+	enc oracle.Encoder
 
 	cur       *segment // partial segment being filled
-	nextSeq   uint64   // stamp for the next submitted segment
-	lastSeq   uint64   // last submitted seq (drain target)
+	lastSeq   uint64   // seq of the last submitted segment (drain target)
 	allocated int      // segments built so far, at most cfg.Segments
 
-	free chan *segment // recycled segments, capacity = ring depth
-	work chan *segment // producer → workers
-	out  chan *segment // workers → committer (reordered there)
+	// Both channels hold up to the ring depth: at most Segments segments
+	// exist, so a send on either never blocks.
+	free chan *segment // recycled segments
+	full chan *segment // producer → committer, in retirement order
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -124,19 +103,22 @@ type Pipeline struct {
 	producedRecs atomic.Uint64
 	appliedRecs  atomic.Uint64
 
-	workerWG      sync.WaitGroup
 	committerDone chan struct{}
 	closed        bool
 
 	Stats Stats
 }
 
-// New builds and starts a pipeline: Workers summarizers plus one
-// committer. Close must be called to stop them.
+// segment is one ring slot: a batch of records stamped with a sequence
+// number. Segments cycle free → producer → committer → free.
+type segment struct {
+	seq  uint64
+	recs []oracle.Rec
+}
+
+// New builds a pipeline and starts its committer. Close must be called
+// to stop it.
 func New(cfg Config) *Pipeline {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
 	if cfg.SegRecords <= 0 {
 		cfg.SegRecords = 256
 	}
@@ -144,18 +126,18 @@ func New(cfg Config) *Pipeline {
 		cfg.Segments = 64
 	}
 	p := &Pipeline{
-		cfg:           cfg,
-		st:            newState(cfg),
+		cfg: cfg,
+		st: oracle.NewState(oracle.Config{
+			Tags:          cfg.Tags,
+			Instrumented:  cfg.Instrumented,
+			UnsafePreempt: cfg.UnsafePreempt,
+		}),
+		enc:           oracle.Encoder{Instrumented: cfg.Instrumented},
 		free:          make(chan *segment, cfg.Segments),
-		work:          make(chan *segment, cfg.Segments),
-		out:           make(chan *segment, cfg.Segments),
+		full:          make(chan *segment, cfg.Segments),
 		committerDone: make(chan struct{}),
 	}
 	p.cond = sync.NewCond(&p.mu)
-	p.workerWG.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go p.worker()
-	}
 	go p.committer()
 	return p
 }
@@ -181,18 +163,16 @@ func (p *Pipeline) Lag() uint64 {
 	return pr - ap
 }
 
-// Close stops the workers and committer, applying everything already
-// submitted. Records still in the partial producer segment are submitted
-// first so counters reconcile. Idempotent; producer-goroutine only.
+// Close stops the committer, applying everything already submitted.
+// Records still in the partial producer segment are submitted first so
+// counters reconcile. Idempotent; producer-goroutine only.
 func (p *Pipeline) Close() {
 	if p.closed {
 		return
 	}
 	p.closed = true
 	p.flushSeg()
-	close(p.work)
-	p.workerWG.Wait()
-	close(p.out)
+	close(p.full)
 	<-p.committerDone
 }
 
@@ -204,16 +184,28 @@ func (p *Pipeline) Finish(m *machine.Machine) error {
 	if err := p.failureErr(m); err != nil {
 		return err
 	}
-	if !p.st.checking {
+	if !p.st.Checking() {
 		return nil
 	}
-	if d := p.st.flushCheck(m, "finish", -1, &p.Stats); d != nil {
-		return p.latchErr(m, d)
-	}
-	if d := p.st.sweep(p.cfg.Tags, m, "finish", &p.Stats); d != nil {
-		return p.latchErr(m, d)
+	if d := p.sinkChecks(m, -1, true); d != nil {
+		return p.latchErr(m, "finish", d)
 	}
 	return nil
+}
+
+// sinkChecks runs the sink's register cross-check, skipping register
+// skip, and then, if sweep is set, the full bitmap sweep, counting both.
+// The ring must be drained.
+func (p *Pipeline) sinkChecks(m *machine.Machine, skip int, sweep bool) *oracle.Divergence {
+	n, d := p.st.CheckRegs(m, skip)
+	p.Stats.RegChecks.Add(n)
+	if d != nil || !sweep {
+		return d
+	}
+	p.Stats.Sweeps.Add(1)
+	n, d = p.st.Sweep(m)
+	p.Stats.UnitChecks.Add(n)
+	return d
 }
 
 // grab takes a free segment. The ring fills lazily: while fewer than
@@ -228,18 +220,27 @@ func (p *Pipeline) grab() *segment {
 	}
 	if p.allocated < p.cfg.Segments {
 		p.allocated++
-		return &segment{recs: make([]rec, 0, p.cfg.SegRecords)}
+		return &segment{recs: make([]oracle.Rec, 0, p.cfg.SegRecords)}
 	}
 	p.Stats.Stalls.Add(1)
 	return <-p.free
 }
 
-// emit appends one record, submitting the segment when it fills.
-func (p *Pipeline) emit(r rec) {
+// slot returns the next free record slot of the open segment, taking a
+// segment first if none is open. The record written there joins the
+// segment only when push is called.
+func (p *Pipeline) slot() *oracle.Rec {
 	if p.cur == nil {
 		p.cur = p.grab()
 	}
-	p.cur.recs = append(p.cur.recs, r)
+	recs := p.cur.recs
+	return &recs[:len(recs)+1][len(recs)]
+}
+
+// push adds the record written at slot to the open segment, submitting
+// the segment when it fills.
+func (p *Pipeline) push() {
+	p.cur.recs = p.cur.recs[:len(p.cur.recs)+1]
 	if len(p.cur.recs) >= p.cfg.SegRecords {
 		p.flushSeg()
 	}
@@ -250,14 +251,13 @@ func (p *Pipeline) flushSeg() {
 	if p.cur == nil || len(p.cur.recs) == 0 {
 		return
 	}
-	p.nextSeq++
-	p.cur.seq = p.nextSeq
-	p.lastSeq = p.nextSeq
+	p.lastSeq++
+	p.cur.seq = p.lastSeq
 	n := uint64(len(p.cur.recs))
 	p.producedRecs.Add(n)
 	p.Stats.Records.Add(n)
 	p.Stats.Segments.Add(1)
-	p.work <- p.cur
+	p.full <- p.cur
 	p.cur = nil
 }
 
@@ -288,15 +288,16 @@ func (p *Pipeline) failureErr(m *machine.Machine) error {
 		return nil
 	}
 	if d.Snapshot == "" {
-		d.Snapshot = p.st.snapshot(m)
+		d.Snapshot = p.snapshot(m)
 	}
 	return d
 }
 
-// latchErr records a producer-side (sink check) divergence, keeping the
-// first one if the committer raced one in.
-func (p *Pipeline) latchErr(m *machine.Machine, d *oracle.Divergence) error {
-	d.Snapshot = p.st.snapshot(m)
+// latchErr records a producer-side (sink check) divergence at
+// instruction ins, keeping the first one if the committer raced one in.
+func (p *Pipeline) latchErr(m *machine.Machine, ins string, d *oracle.Divergence) error {
+	d.Ins = ins
+	d.Snapshot = p.snapshot(m)
 	p.mu.Lock()
 	if p.failure == nil {
 		p.failure = d
@@ -307,71 +308,44 @@ func (p *Pipeline) latchErr(m *machine.Machine, d *oracle.Divergence) error {
 	return d
 }
 
-// worker summarizes segments. With a single worker (or after a failure)
-// segments pass through untouched and the committer applies raw records.
-func (p *Pipeline) worker() {
-	defer p.workerWG.Done()
-	for seg := range p.work {
-		if p.cfg.Workers > 1 && !p.failed.Load() {
-			if sum, ok := summarize(seg, p.st.mem.UnitBytes()); ok {
-				seg.sum = sum
-			}
-		}
-		p.out <- seg
-	}
+// snapshot renders the shadow state for a divergence report.
+func (p *Pipeline) snapshot(m *machine.Machine) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "  tid=%d pc=%d retired=%d cycles=%d halted=%v (decoupled; detection is sink-granular)\n",
+		m.TID, m.PC, m.Retired, m.Cycles, m.Halted)
+	p.st.WriteRegs(&b, m)
+	return b.String()
 }
 
-// committer reorders segments by sequence number and applies them. After
-// a failure it keeps recycling segments (skipping the apply) so the
-// producer's drains and stalls always terminate.
+// committer applies segments in retirement order, recycles each one and
+// publishes its sequence number. After a failure it keeps recycling
+// segments (skipping the apply) so the producer's drains and stalls
+// always terminate.
 func (p *Pipeline) committer() {
 	defer close(p.committerDone)
-	pending := make(map[uint64]*segment)
-	next := uint64(1)
-	for seg := range p.out {
-		pending[seg.seq] = seg
-		for {
-			s, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			p.commit(s)
-			next++
-		}
-	}
-}
-
-// commit applies one segment in retirement order, recycles the segment,
-// and publishes the applied sequence number.
-func (p *Pipeline) commit(seg *segment) {
-	var d *oracle.Divergence
-	if !p.failed.Load() {
-		if seg.sum != nil {
-			d = p.st.applySummary(seg.sum)
-		} else {
-			p.Stats.DirectSegs.Add(1)
+	for seg := range p.full {
+		var d *oracle.Divergence
+		if !p.failed.Load() {
 			for i := range seg.recs {
-				if d = p.st.applyRec(&seg.recs[i]); d != nil {
+				if d = p.st.Apply(&seg.recs[i]); d != nil {
 					break
 				}
 			}
 		}
+		p.appliedRecs.Add(uint64(len(seg.recs)))
+		seq := seg.seq
+		seg.recs = seg.recs[:0]
+		// Recycle before publishing: a drain that returns finds every
+		// applied segment free again, so the lazily filled ring does not
+		// grow past what the producer really has in flight.
+		p.free <- seg
+		p.mu.Lock()
+		if d != nil && p.failure == nil {
+			p.failure = d
+			p.failed.Store(true)
+		}
+		p.appliedSeq = seq
+		p.cond.Broadcast()
+		p.mu.Unlock()
 	}
-	p.appliedRecs.Add(uint64(len(seg.recs)))
-	seq := seg.seq
-	seg.sum = nil
-	seg.recs = seg.recs[:0]
-	// Recycle before publishing: a drain that returns finds every applied
-	// segment free again, so the lazily filled ring does not grow past
-	// what the producer really has in flight.
-	p.free <- seg
-	p.mu.Lock()
-	if d != nil && p.failure == nil {
-		p.failure = d
-		p.failed.Store(true)
-	}
-	p.appliedSeq = seq
-	p.cond.Broadcast()
-	p.mu.Unlock()
 }
