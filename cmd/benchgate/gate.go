@@ -20,11 +20,7 @@ func finitePositive(v float64) bool {
 // blowup yields NaN or Inf, and a comparison against either silently
 // passes (NaN > x is always false) — all of those must be loud
 // failures, never a green gate.
-//
-// cores is the host's CPU count: the decoupled-pipeline speedup floor
-// only applies on hosts with at least four cores, since the pipeline
-// needs spare cores to beat inline checking at all.
-func gateFailures(rep, baseline *Report, ratioSlack, overheadMax, tagpipeFloor, pooledSlack, selectiveSlack float64, cores int) []string {
+func gateFailures(rep, baseline *Report, ratioSlack, overheadMax, tagpipeFloor, pooledSlack, selectiveSlack float64) []string {
 	var fails []string
 	bad := func(format string, args ...any) {
 		fails = append(fails, fmt.Sprintf(format, args...))
@@ -67,11 +63,12 @@ func gateFailures(rep, baseline *Report, ratioSlack, overheadMax, tagpipeFloor, 
 		bad("untraced overhead %.2f%% exceeds %.2f%%", 100*rep.UntracedOverhead, 100*overheadMax)
 	}
 
-	// Property 3: on a multi-core host, decoupled checking beats the
-	// inline oracle by an absolute floor. This floor is not baseline-
-	// relative — the point of the pipeline is a fixed win over inline
-	// checking, not parity with an older self.
-	if cores >= 4 && tagpipeFloor > 0 {
+	// Property 3: sink-granular checking beats the per-boundary lockstep
+	// oracle by an absolute floor, on every host: the sink checker runs
+	// on the execution goroutine and needs no spare core. This floor is
+	// not baseline-relative — the point of checking at sinks is a fixed
+	// win over checking at every boundary, not parity with an older self.
+	if tagpipeFloor > 0 {
 		switch {
 		case !finitePositive(rep.CheckedInlineNsPerOp) || !finitePositive(rep.CheckedTagpipeNsPerOp):
 			bad("degenerate checked-run measurement: inline %v ns/op, tagpipe %v ns/op",
@@ -79,7 +76,7 @@ func gateFailures(rep, baseline *Report, ratioSlack, overheadMax, tagpipeFloor, 
 		case !finitePositive(rep.TagpipeSpeedup):
 			bad("degenerate ratio: tagpipe_speedup = %v", rep.TagpipeSpeedup)
 		case rep.TagpipeSpeedup < tagpipeFloor:
-			bad("decoupled checking speedup %.3fx below the %.2fx floor (inline %.0f ns/op, tagpipe %.0f ns/op)",
+			bad("sink-granular checking speedup %.3fx below the %.2fx floor (inline %.0f ns/op, tagpipe %.0f ns/op)",
 				rep.TagpipeSpeedup, tagpipeFloor, rep.CheckedInlineNsPerOp, rep.CheckedTagpipeNsPerOp)
 		}
 	}

@@ -32,12 +32,12 @@ func goodBaseline() *Report {
 	return &Report{BlockSpeedup: 3.0, PooledReqPerSec: 1400, PooledP99Ns: 20e6, SelectiveSpeedup: 3.0}
 }
 
-func gate(rep, base *Report, cores int) []string {
-	return gateFailures(rep, base, 0.05, 0.02, 1.5, 0.40, 0.25, cores)
+func gate(rep, base *Report) []string {
+	return gateFailures(rep, base, 0.05, 0.02, 1.5, 0.40, 0.25)
 }
 
 func TestGatePassesCleanReport(t *testing.T) {
-	if fails := gate(goodReport(), goodBaseline(), 8); len(fails) != 0 {
+	if fails := gate(goodReport(), goodBaseline()); len(fails) != 0 {
 		t.Errorf("clean report failed the gate: %v", fails)
 	}
 }
@@ -45,7 +45,7 @@ func TestGatePassesCleanReport(t *testing.T) {
 // A baseline file missing block_speedup decodes to 0, which used to
 // make the floor 0 and pass any regression. It must fail loudly now.
 func TestGateMissingBaselineKey(t *testing.T) {
-	fails := gate(goodReport(), &Report{}, 8)
+	fails := gate(goodReport(), &Report{})
 	if len(fails) == 0 {
 		t.Fatal("zero-value baseline passed the gate")
 	}
@@ -65,7 +65,7 @@ func TestGateDegenerateDurations(t *testing.T) {
 	} {
 		rep := goodReport()
 		mutate(rep)
-		if fails := gate(rep, goodBaseline(), 8); len(fails) == 0 {
+		if fails := gate(rep, goodBaseline()); len(fails) == 0 {
 			t.Errorf("degenerate report %+v passed the gate", rep)
 		}
 	}
@@ -81,7 +81,7 @@ func TestGateNaNRatios(t *testing.T) {
 	} {
 		rep := goodReport()
 		mutate(rep)
-		fails := gate(rep, goodBaseline(), 8)
+		fails := gate(rep, goodBaseline())
 		if len(fails) == 0 {
 			t.Errorf("NaN report %+v passed the gate", rep)
 		}
@@ -94,7 +94,7 @@ func TestGateNaNRatios(t *testing.T) {
 func TestGateSpeedupRegression(t *testing.T) {
 	rep := goodReport()
 	rep.BlockSpeedup = 2.0 // baseline 3.0, slack 5% -> floor 2.85
-	if fails := gate(rep, goodBaseline(), 8); len(fails) != 1 {
+	if fails := gate(rep, goodBaseline()); len(fails) != 1 {
 		t.Errorf("speedup regression: %v", fails)
 	}
 }
@@ -102,26 +102,24 @@ func TestGateSpeedupRegression(t *testing.T) {
 func TestGateUntracedOverhead(t *testing.T) {
 	rep := goodReport()
 	rep.UntracedOverhead = 0.05
-	fails := gate(rep, goodBaseline(), 8)
+	fails := gate(rep, goodBaseline())
 	if len(fails) != 1 || !strings.Contains(fails[0], "untraced") {
 		t.Errorf("overhead breach: %v", fails)
 	}
 }
 
-// The decoupled-checking floor binds on multi-core hosts only, and is
-// absolute: an old baseline without the checked fields cannot mask it.
+// The sink-granular checking floor binds on every host, whatever its
+// core count, and is absolute: an old baseline without the checked
+// fields cannot mask it.
 func TestGateTagpipeFloor(t *testing.T) {
 	rep := goodReport()
 	rep.TagpipeSpeedup = 1.2
-	fails := gate(rep, goodBaseline(), 8)
+	fails := gate(rep, goodBaseline())
 	if len(fails) != 1 || !strings.Contains(fails[0], "floor") {
-		t.Errorf("tagpipe floor breach on 8 cores: %v", fails)
-	}
-	if fails := gate(rep, goodBaseline(), 2); len(fails) != 0 {
-		t.Errorf("tagpipe floor applied on a 2-core host: %v", fails)
+		t.Errorf("tagpipe floor breach: %v", fails)
 	}
 	// Disabled floor (0) never binds.
-	if fails := gateFailures(rep, goodBaseline(), 0.05, 0.02, 0, 0.40, 0.25, 8); len(fails) != 0 {
+	if fails := gateFailures(rep, goodBaseline(), 0.05, 0.02, 0, 0.40, 0.25); len(fails) != 0 {
 		t.Errorf("disabled tagpipe floor still binds: %v", fails)
 	}
 }
@@ -132,14 +130,14 @@ func TestGateTagpipeFloor(t *testing.T) {
 func TestGatePooledServer(t *testing.T) {
 	rep := goodReport()
 	rep.PooledReqPerSec = 700 // baseline 1400, slack 40% -> floor 840
-	fails := gate(rep, goodBaseline(), 8)
+	fails := gate(rep, goodBaseline())
 	if len(fails) != 1 || !strings.Contains(fails[0], "pooled throughput") {
 		t.Errorf("throughput collapse: %v", fails)
 	}
 
 	rep = goodReport()
 	rep.PooledP99Ns = 100e6 // baseline 20ms, slack 40% -> ceiling 28ms
-	fails = gate(rep, goodBaseline(), 8)
+	fails = gate(rep, goodBaseline())
 	if len(fails) != 1 || !strings.Contains(fails[0], "pooled p99") {
 		t.Errorf("p99 blowup: %v", fails)
 	}
@@ -148,7 +146,7 @@ func TestGatePooledServer(t *testing.T) {
 	// keys decode to 0) skips the relative properties...
 	rep = goodReport()
 	rep.PooledReqPerSec = 1 // would fail any floor
-	if fails := gate(rep, &Report{BlockSpeedup: 3.0}, 8); len(fails) != 0 {
+	if fails := gate(rep, &Report{BlockSpeedup: 3.0}); len(fails) != 0 {
 		t.Errorf("pre-pooled baseline should skip the relative gate: %v", fails)
 	}
 
@@ -159,7 +157,7 @@ func TestGatePooledServer(t *testing.T) {
 	} {
 		rep := goodReport()
 		mutate(rep)
-		fails := gate(rep, &Report{BlockSpeedup: 3.0}, 8)
+		fails := gate(rep, &Report{BlockSpeedup: 3.0})
 		if len(fails) != 1 || !strings.Contains(fails[0], "degenerate pooled") {
 			t.Errorf("degenerate pooled measurement: %v", fails)
 		}
@@ -184,7 +182,7 @@ func TestGateSelectiveProperty(t *testing.T) {
 	} {
 		rep := goodReport()
 		tc.mutate(rep)
-		fails := gate(rep, goodBaseline(), 8)
+		fails := gate(rep, goodBaseline())
 		if len(fails) == 0 {
 			t.Errorf("%s: passed the gate", tc.name)
 			continue
@@ -199,11 +197,11 @@ func TestGateSelectiveProperty(t *testing.T) {
 	old.SelectiveSpeedup = 0
 	rep := goodReport()
 	rep.SelectiveSpeedup = 1.1 // would fail against the refreshed baseline
-	if fails := gate(rep, old, 8); len(fails) != 0 {
+	if fails := gate(rep, old); len(fails) != 0 {
 		t.Errorf("old baseline should skip the selective ratio: %v", fails)
 	}
 	rep.SelectiveNsPerOp = 0
-	if fails := gate(rep, old, 8); len(fails) == 0 {
+	if fails := gate(rep, old); len(fails) == 0 {
 		t.Error("degenerate measurement passed with an old baseline")
 	}
 }

@@ -22,10 +22,10 @@
 //   - the untraced overhead — the hook-capable driver with no hook
 //     attached versus the raw block engine — must stay under
 //     overhead-max (default 2%), the observability-is-free invariant;
-//   - on hosts with at least four cores, a checked (instrumented,
-//     tainted) run with the decoupled tag pipeline must beat the same
-//     run with the inline lockstep oracle by tagpipe-floor (default
-//     1.5x) — an absolute floor, independent of the baseline file.
+//   - a checked (instrumented, tainted) run with the sink-granular
+//     checker must beat the same run with the per-boundary lockstep
+//     oracle by tagpipe-floor (default 1.5x) on every host — an
+//     absolute floor, independent of the baseline file.
 //
 // Without -check the report is written and the gate always passes
 // (useful for refreshing the baseline: copy the output over it).
@@ -36,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 
 	"shift/internal/asm"
@@ -61,9 +60,9 @@ type Report struct {
 	UntracedOverhead float64 `json:"untraced_overhead"`
 	GuestInstrPerRun uint64  `json:"guest_instr_per_run"`
 	// Checked-run pair: the same tainted guest workload with shadow
-	// checking inline (lockstep oracle) versus decoupled onto the tag
-	// pipeline. TagpipeSpeedup is inline/tagpipe: >1 means decoupling
-	// pays. These fields are absent from older baseline files — the gate
+	// checking at every instruction boundary (lockstep oracle) versus
+	// at sinks (the sink-granular checker). TagpipeSpeedup is
+	// inline/tagpipe: >1 means sink-granular checking pays. These fields are absent from older baseline files — the gate
 	// on them is an absolute floor, not baseline-relative.
 	CheckedInlineNsPerOp  float64 `json:"checked_inline_ns_per_op"`
 	CheckedTagpipeNsPerOp float64 `json:"checked_tagpipe_ns_per_op"`
@@ -154,8 +153,8 @@ func measure(engine machine.Engine, hook machine.StepHook) (nsPerOp float64, ret
 
 // checkedSource is the tainted-loop workload for the checked-run pair:
 // network input (a taint source) churned through an inner loop, so the
-// instrumented binary carries real tag traffic and the checker — inline
-// oracle or decoupled pipeline — has live taint to shadow.
+// instrumented binary carries real tag traffic and the checker — lockstep
+// oracle or sink-granular checker — has live taint to shadow.
 const checkedSource = `
 char buf[64];
 int out[1];
@@ -259,7 +258,7 @@ func main() {
 	bestOf := flag.Int("best", 5, "runs per configuration; the fastest is kept")
 	ratioSlack := flag.Float64("ratio-slack", 0.05, "allowed fractional loss of block/interp speedup vs the baseline")
 	overheadMax := flag.Float64("overhead-max", 0.02, "maximum untraced overhead fraction")
-	tagpipeFloor := flag.Float64("tagpipe-floor", 1.5, "minimum checked-inline/checked-decoupled speedup on hosts with >= 4 cores (0 disables)")
+	tagpipeFloor := flag.Float64("tagpipe-floor", 1.5, "minimum checked-oracle/checked-sink-granular speedup (0 disables)")
 	pooledSlack := flag.Float64("pooled-slack", 0.40, "allowed fractional loss of pooled req/s (and growth of pooled p99) vs the baseline")
 	selectiveSlack := flag.Float64("selective-slack", 0.25, "allowed fractional loss of selective-instrumentation speedup vs the baseline")
 	check := flag.Bool("check", false, "enforce the gate (exit 1 on regression)")
@@ -313,7 +312,7 @@ func main() {
 
 	fmt.Printf("benchgate: block %.0f ns/op, interp %.0f ns/op (speedup %.3fx), untraced overhead %+.2f%%\n",
 		rep.BlockNsPerOp, rep.InterpNsPerOp, rep.BlockSpeedup, 100*rep.UntracedOverhead)
-	fmt.Printf("benchgate: checked inline %.0f ns/op, decoupled %.0f ns/op (speedup %.3fx)\n",
+	fmt.Printf("benchgate: checked oracle %.0f ns/op, sink-granular %.0f ns/op (speedup %.3fx)\n",
 		rep.CheckedInlineNsPerOp, rep.CheckedTagpipeNsPerOp, rep.TagpipeSpeedup)
 	fmt.Printf("benchgate: pooled server (%d guests) %.0f req/s, p99 %.2f ms\n",
 		rep.PoolSize, rep.PooledReqPerSec, rep.PooledP99Ns/1e6)
@@ -334,7 +333,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgate: baseline:", err)
 		os.Exit(1)
 	}
-	fails := gateFailures(rep, &baseline, *ratioSlack, *overheadMax, *tagpipeFloor, *pooledSlack, *selectiveSlack, runtime.NumCPU())
+	fails := gateFailures(rep, &baseline, *ratioSlack, *overheadMax, *tagpipeFloor, *pooledSlack, *selectiveSlack)
 	for _, f := range fails {
 		fmt.Fprintln(os.Stderr, "benchgate: FAIL:", f)
 	}

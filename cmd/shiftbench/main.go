@@ -13,9 +13,9 @@
 // experiment cells run concurrently (0 = one per CPU; the results are
 // identical at any setting). -engine selects the execution engine (the
 // default block engine and the reference interpreter produce identical
-// results; the flag exists for performance comparison). -tagpipe 1 moves
-// the instrumented runs' shadow checking onto the decoupled tag pipeline
-// (0 = inline; verdicts are unchanged, throughput is not).
+// results; the flag exists for performance comparison). -tagpipe 1 checks
+// the instrumented runs with the sink-granular checker (0, the default,
+// runs them unchecked; verdicts are unchanged, throughput is not).
 // -selective applies whole-program taint-reachability analysis before
 // instrumenting, leaving statically taint-unreachable sites in their
 // original encoding (verdict-equivalent; lowers checked-run overhead).
@@ -32,7 +32,7 @@ import (
 
 	"shift/internal/bench"
 	"shift/internal/machine"
-	"shift/internal/tagpipe"
+	"shift/internal/shift"
 )
 
 func main() {
@@ -40,7 +40,7 @@ func main() {
 	scaleDiv := flag.Int("scale-div", 1, "divide reference input scales by this factor")
 	requests := flag.Int("requests", 1000, "Figure 6 request count")
 	workers := flag.Int("workers", 0, "max concurrent experiment cells (0 = NumCPU, 1 = serial)")
-	tagpipeN := flag.Int("tagpipe", 0, "1 = check instrumented runs on the decoupled tag pipeline, 0 = inline checking")
+	tagpipeN := flag.Int("tagpipe", 0, "1 = check instrumented runs with the sink-granular checker, 0 = no checker")
 	selective := flag.Bool("selective", false, "instrument only statically taint-reachable sites in instrumented runs")
 	engineName := flag.String("engine", "block", "execution engine: block or interp")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -51,7 +51,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "shiftbench: -scale-div must be >= 1")
 		os.Exit(2)
 	}
-	if err := tagpipe.ValidateFlag(*tagpipeN); err != nil {
+	if err := shift.ValidateTagpipeFlag(*tagpipeN); err != nil {
 		fmt.Fprintln(os.Stderr, "shiftbench:", err)
 		os.Exit(2)
 	}

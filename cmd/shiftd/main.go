@@ -11,12 +11,13 @@
 //	shiftd -smoke           start, verify benign/404/exploit handling, exit
 //	shiftd -sweep           run the load harness and print a throughput table
 //
-// Flags: -addr, -pool (guests), -tagpipe (1 = check each request on the
-// decoupled tag pipeline, 0 = inline tag maintenance; anything else
-// exits with status 2), -selective (instrument only
-// statically taint-reachable guest sites; the kept/skipped site counts
-// are exported as shift_selective_sites_* gauges), -sweep-requests,
-// -sweep-max (highest in-flight level, direct mode).
+// Flags: -addr, -pool (guests), -tagpipe (1 = check each request with
+// the sink-granular checker, 0 = serve with tag tracking and policy
+// checks but no checker; anything else exits with status 2),
+// -selective (instrument only statically taint-reachable guest sites;
+// the kept/skipped site counts are exported as shift_selective_sites_*
+// gauges), -sweep-requests, -sweep-max (highest in-flight level, direct
+// mode).
 package main
 
 import (
@@ -34,13 +35,12 @@ import (
 	"shift/internal/metrics"
 	"shift/internal/pool"
 	"shift/internal/shift"
-	"shift/internal/tagpipe"
 	"shift/internal/workload"
 )
 
 // buildOptions is the server's run configuration: instrumented guest,
-// default H-policies with network+file sources, the decoupled tag
-// pipeline as the checker when tagpipeN is 1, and — when selective is
+// default H-policies with network+file sources, the sink-granular
+// checker when tagpipeN is 1 (no checker at 0), and — when selective is
 // set — taint-reachability-pruned instrumentation.
 func buildOptions(tagpipeN int, selective bool) shift.Options {
 	return shift.Options{
@@ -69,7 +69,7 @@ func exitStatus(err error) int {
 // fills the warm pool. Serving, -smoke and -sweep all start here. Under
 // selective instrumentation the kept/skipped site counts go to reg.
 func buildPool(size, tagpipeN int, selective bool, reg *metrics.Registry) (*pool.Pool, error) {
-	if err := tagpipe.ValidateFlag(tagpipeN); err != nil {
+	if err := shift.ValidateTagpipeFlag(tagpipeN); err != nil {
 		return nil, flagError{err}
 	}
 	opt := buildOptions(tagpipeN, selective)
@@ -86,7 +86,7 @@ func buildPool(size, tagpipeN int, selective bool, reg *metrics.Registry) (*pool
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	poolSize := flag.Int("pool", 4, "warm guests in the pool")
-	tagpipeN := flag.Int("tagpipe", 1, "1 = check each request on the decoupled tag pipeline, 0 = inline checking")
+	tagpipeN := flag.Int("tagpipe", 1, "1 = check each request with the sink-granular checker, 0 = no checker (tags and policies stay on)")
 	smoke := flag.Bool("smoke", false, "run the smoke check against a live server and exit")
 	sweep := flag.Bool("sweep", false, "run the load harness and exit")
 	sweepRequests := flag.Int("sweep-requests", 2000, "requests per sweep level")

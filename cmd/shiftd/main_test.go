@@ -12,7 +12,6 @@ import (
 	"shift/internal/metrics"
 	"shift/internal/pool"
 	"shift/internal/shift"
-	"shift/internal/tagpipe"
 	"shift/internal/workload"
 )
 
@@ -36,12 +35,32 @@ func TestBuildPoolRejectsBadTagpipe(t *testing.T) {
 		if err == nil {
 			t.Fatalf("tagpipe=%d: pool built (%d guests), want an error", n, p.Stats().Size)
 		}
-		if want := tagpipe.ValidateFlag(n); want == nil || err.Error() != want.Error() {
+		if want := shift.ValidateTagpipeFlag(n); want == nil || err.Error() != want.Error() {
 			t.Errorf("tagpipe=%d: error %q, want the validator's %v", n, err, want)
+		}
+		for _, v := range []string{"1 = check with the sink-granular checker", "0 = no sink-granular checker"} {
+			if !strings.Contains(err.Error(), v) {
+				t.Errorf("tagpipe=%d: error %q does not say what %q does", n, err, v[:1])
+			}
 		}
 		if got := exitStatus(err); got != 2 {
 			t.Errorf("tagpipe=%d: exit status %d, want 2", n, got)
 		}
+	}
+}
+
+// -tagpipe 0 serves with tag tracking and policy checks but runs no
+// checker at all; 1 runs the sink-granular checker and nothing else.
+func TestBuildOptionsTagpipe(t *testing.T) {
+	off := buildOptions(0, false)
+	if off.Oracle || off.Decoupled != 0 {
+		t.Errorf("tagpipe=0: Oracle=%v Decoupled=%d, want no checker", off.Oracle, off.Decoupled)
+	}
+	if !off.Instrument || off.Policy == nil {
+		t.Errorf("tagpipe=0: Instrument=%v Policy=%v, want tags and policies on", off.Instrument, off.Policy)
+	}
+	if on := buildOptions(1, false); on.Oracle || on.Decoupled != 1 {
+		t.Errorf("tagpipe=1: Oracle=%v Decoupled=%d, want the sink-granular checker only", on.Oracle, on.Decoupled)
 	}
 }
 

@@ -30,9 +30,11 @@
 // into the simulated filesystem, -arg appends a program argument.
 // -oracle runs the lockstep reference DIFT engine alongside execution and
 // reports any divergence between the tag machinery and plain shadow
-// interpretation (exit status 4). -tagpipe 1 moves that shadow checking
-// off the hot loop onto the decoupled tag pipeline, which drains at
-// policy sinks — same verdicts, decoupled propagation (0 = inline).
+// interpretation (exit status 4). -tagpipe 1 runs the sink-granular
+// checker instead: the same shadow propagation, with the register and
+// bitmap cross-checks run at policy sinks rather than at every
+// instruction boundary — same verdicts (0, the default, runs no
+// sink-granular checker).
 //
 // -trace records the taint-lifecycle flight recorder to a JSONL file
 // ("-" for stdout); -trace-chrome writes the same events in Chrome
@@ -65,7 +67,6 @@ import (
 	"shift/internal/metrics"
 	"shift/internal/policy"
 	"shift/internal/shift"
-	"shift/internal/tagpipe"
 	"shift/internal/taint"
 	"shift/internal/trace"
 )
@@ -87,7 +88,7 @@ func main() {
 	counters := flag.Bool("counters", false, "print cycle and instruction counters")
 	profile := flag.Bool("profile", false, "print the per-function execution profile")
 	oracleOn := flag.Bool("oracle", false, "cross-check tag state against a lockstep reference engine")
-	tagpipeN := flag.Int("tagpipe", 0, "1 = check on the decoupled tag pipeline, 0 = inline checking")
+	tagpipeN := flag.Int("tagpipe", 0, "1 = check with the sink-granular checker, 0 = no sink-granular checker (see -oracle)")
 	serialized := flag.Bool("serialized-tags", false, "serialize byte-level bitmap updates with a cmpxchg retry loop")
 	unsafePreempt := flag.Bool("unsafe-preempt", false, "allow preemption between a data store and its tag update (reproduces the paper's §4.4 hazard)")
 	quantum := flag.Uint64("quantum", 0, "scheduler time slice in cycles for threaded guests (0 = default)")
@@ -106,7 +107,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := tagpipe.ValidateFlag(*tagpipeN); err != nil {
+	if err := shift.ValidateTagpipeFlag(*tagpipeN); err != nil {
 		fmt.Fprintln(os.Stderr, "shiftrun:", err)
 		os.Exit(2)
 	}
@@ -232,9 +233,8 @@ func main() {
 	}
 	if *tagpipeN > 0 && res.Pipe != nil {
 		s := &res.Pipe.Stats
-		fmt.Printf("tagpipe: %d records in %d segments, %d stalls, %d drains, %d sweeps\n",
-			s.Records.Load(), s.Segments.Load(),
-			s.Stalls.Load(), s.Drains.Load(), s.Sweeps.Load())
+		fmt.Printf("tagpipe: %d records, %d drains, %d sweeps\n",
+			s.Records.Load(), s.Drains.Load(), s.Sweeps.Load())
 	}
 	if *selective && *protect {
 		fmt.Printf("selective: %d sites, %d instrumented, %d skipped\n",

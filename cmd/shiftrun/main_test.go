@@ -93,8 +93,8 @@ func TestEngineFlagValidation(t *testing.T) {
 	}
 }
 
-// -tagpipe 1 runs the program under the decoupled pipeline: same guest
-// output and exit status as the inline run, plus a pipeline stats line.
+// -tagpipe 1 runs the program under the sink-granular checker: same guest
+// output and exit status as the unchecked run, plus a checker stats line.
 func TestTagpipeRunMatchesInline(t *testing.T) {
 	prog := writeProg(t, tinyProg)
 	common := []string{"-protect", "-net", "hello worlds!", prog}
@@ -105,7 +105,7 @@ func TestTagpipeRunMatchesInline(t *testing.T) {
 	}
 	code, pipedOut, errb := runCmd(t, append([]string{"-tagpipe", "1"}, common...)...)
 	if code != 0 {
-		t.Fatalf("decoupled run: exit %d\n%s", code, errb)
+		t.Fatalf("checked run: exit %d\n%s", code, errb)
 	}
 	stats := ""
 	for _, line := range strings.Split(pipedOut, "\n") {
@@ -114,13 +114,13 @@ func TestTagpipeRunMatchesInline(t *testing.T) {
 		}
 	}
 	if stats == "" {
-		t.Fatalf("decoupled run printed no pipeline stats:\n%s", pipedOut)
+		t.Fatalf("checked run printed no checker stats:\n%s", pipedOut)
 	}
 	if got := strings.Replace(pipedOut, stats+"\n", "", 1); got != inlineOut {
 		t.Errorf("guest output differs:\ninline:  %q\npiped:   %q", inlineOut, got)
 	}
 	if strings.Contains(stats, " 0 records") {
-		t.Errorf("pipeline reported no records: %s", stats)
+		t.Errorf("checker reported no records: %s", stats)
 	}
 }
 
@@ -132,6 +132,6 @@ func TestTagpipeZeroIsInline(t *testing.T) {
 		t.Fatalf("exit %d\n%s", code, errb)
 	}
 	if strings.Contains(out, "tagpipe:") {
-		t.Errorf("-tagpipe 0 printed pipeline stats:\n%s", out)
+		t.Errorf("-tagpipe 0 printed checker stats:\n%s", out)
 	}
 }

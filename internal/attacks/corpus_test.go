@@ -9,8 +9,8 @@ import (
 )
 
 // corpusConfigs enumerates the checker/instrumentation matrix the
-// corpus must hold under: plain, lockstep oracle, decoupled tag
-// pipeline, and selective instrumentation (with the oracle watching).
+// corpus must hold under: plain, lockstep oracle, sink-granular
+// checker, and selective instrumentation (with the oracle watching).
 func corpusConfigs(t *testing.T) []EvalOptions {
 	grans := []taint.Granularity{taint.Byte, taint.Word}
 	if testing.Short() {
@@ -48,7 +48,7 @@ func optLabel(eo EvalOptions) string {
 
 // TestCorpusMatrix is the corpus-wide acceptance gate: every scenario,
 // benign and exploit, at both granularities, under the lockstep oracle,
-// the decoupled tag pipeline, and selective instrumentation — zero
+// the sink-granular checker, and selective instrumentation — zero
 // missed detections and zero benign false positives.
 func TestCorpusMatrix(t *testing.T) {
 	for _, s := range Corpus() {

@@ -142,7 +142,7 @@ func Classify(res *shift.Result) Verdict {
 
 // EvalOptions selects the execution configuration of a corpus
 // evaluation: granularity, which checker runs alongside (lockstep
-// oracle and/or decoupled tag pipeline), selective instrumentation, and
+// oracle and/or sink-granular checker), selective instrumentation, and
 // an optional policy-configuration override for channel-keyed runs.
 type EvalOptions struct {
 	Gran      taint.Granularity

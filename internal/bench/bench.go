@@ -23,10 +23,9 @@ import (
 var Engine machine.Engine
 
 // Tagpipe selects the checker of instrumented benchmark runs
-// (cmd/shiftbench's -tagpipe flag). Zero — the default — keeps checking
-// inline; 1 moves shadow propagation onto the decoupled tag pipeline,
-// draining at sinks, which changes throughput but not verdicts (see
-// DESIGN.md "Decoupled tag pipeline").
+// (cmd/shiftbench's -tagpipe flag). Zero — the default — runs them with
+// no checker; 1 checks them with the sink-granular checker, which
+// changes throughput but not verdicts (see DESIGN.md §4c).
 var Tagpipe int
 
 // Selective makes every instrumented benchmark run use selective

@@ -6,13 +6,11 @@ import (
 	"shift/internal/workload"
 )
 
-// Tagpipe routes instrumented measurement runs through the decoupled
-// pipeline without changing their verdicts or architectural outcome: a
-// benchmark must complete clean and produce the same guest output and
-// retirement count as the inline configuration. (Cycle counts may
-// differ only through the simulated cost model being identical — the
-// pipeline runs on host threads, off the guest clock — so they are
-// compared too.)
+// Tagpipe routes instrumented measurement runs through the
+// sink-granular checker without changing their verdicts or architectural
+// outcome: a benchmark must complete clean and produce the same guest
+// output, retirement count and cycle count as the unchecked
+// configuration (the checker runs on the host, off the guest clock).
 func TestTagpipeWiring(t *testing.T) {
 	b := workload.All()[0]
 	scale := b.RefScale / 64
@@ -30,10 +28,10 @@ func TestTagpipeWiring(t *testing.T) {
 	defer func() { Tagpipe = prev }()
 	piped, err := RunBenchmark(b, scale, &cfg)
 	if err != nil {
-		t.Fatalf("decoupled run: %v", err)
+		t.Fatalf("sink-checker run: %v", err)
 	}
 	if piped.Stdout != inline.Stdout || piped.Retired != inline.Retired || piped.Cycles != inline.Cycles {
-		t.Errorf("decoupled run diverged: stdout %q vs %q, retired %d vs %d, cycles %d vs %d",
+		t.Errorf("checked run diverged: stdout %q vs %q, retired %d vs %d, cycles %d vs %d",
 			piped.Stdout, inline.Stdout, piped.Retired, inline.Retired, piped.Cycles, inline.Cycles)
 	}
 }

@@ -322,7 +322,7 @@ func New(p *isa.Program, m *mem.Memory) *Machine {
 //
 // Per-run identity does NOT survive: TID and Hook are cleared. Both
 // belong to one run — the TID is assigned by that run's scheduler, and
-// the hook (oracle, tracer, tag pipeline) holds that run's shadow
+// the hook (oracle, tracer, sink checker) holds that run's shadow
 // state — so carrying them into a reused machine misattributes the next
 // run's trace slices to the previous thread and feeds a live checker a
 // machine it no longer models. A pooled guest recycled with a stale

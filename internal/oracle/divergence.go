@@ -12,6 +12,12 @@
 // machine snapshot. HardTaint (arXiv:2402.17241) validates selective
 // hardware tracing against exactly this kind of full software oracle;
 // this package gives the SHIFT reproduction the same safety net.
+//
+// The package holds two checkers over one shadow state and one set of
+// transfer rules: the lockstep Oracle, which cross-checks at every
+// original-instruction boundary (the strict/debug mode), and the
+// SinkChecker, which applies the same records as they retire but runs
+// the register and bitmap cross-checks only at policy sinks.
 package oracle
 
 import (

@@ -12,8 +12,8 @@ import (
 // NaT'd or laundered, so they carry no reference-taint meaning.
 const firstReservedReg = 119
 
-// Config selects what the checkers check: the lockstep oracle here and
-// the decoupled tag pipeline, which runs on the same State.
+// Config selects what the checkers check: the lockstep oracle and the
+// sink-granular checker, which run on the same State.
 type Config struct {
 	// Tags is the tag bitmap under test; nil disables all bitmap
 	// cross-checks (e.g. a bare machine run with no tag space).

@@ -10,8 +10,8 @@ import (
 // interpreter (State.Apply) never re-decodes opcodes: a record is the
 // instruction's taint-transfer function plus the pre-state it needs
 // (effective address, defer decision, commit outcome), flattened into a
-// fixed-size struct. The lockstep oracle applies a record the moment it
-// is encoded; the decoupled tag pipeline queues it in a ring first.
+// fixed-size struct. Both checkers apply a record the moment it is
+// encoded.
 type RecKind uint8
 
 const (
@@ -60,8 +60,7 @@ const (
 	FlagR8Written                   // syscall: the OS wrote r8
 )
 
-// Rec is one taint record: 24 bytes, no pointers, so a ring of them
-// recycles with zero garbage.
+// Rec is one taint record: 24 bytes, no pointers.
 type Rec struct {
 	Kind  RecKind
 	Op    isa.Opcode // for divergence reports only
@@ -145,7 +144,7 @@ func (e *Encoder) Squashed() bool { return e.squashed }
 // flow and no written general register (branches, compares, tnat, chk.s,
 // nop). It does not consult Squashed: a caller that applies the record
 // checks that first. Fields are stored one by one, straight into r, so
-// the pipeline can encode into its ring slot without a struct copy.
+// a checker encodes into its one reused record without a struct copy.
 func (e *Encoder) Encode(m *machine.Machine, ins *isa.Instruction, r *Rec) bool {
 	var kind RecKind
 	var flags uint8

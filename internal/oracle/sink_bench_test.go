@@ -1,4 +1,4 @@
-package tagpipe
+package oracle
 
 import (
 	"testing"
@@ -6,14 +6,13 @@ import (
 	"shift/internal/isa"
 	"shift/internal/machine"
 	"shift/internal/mem"
-	"shift/internal/oracle"
 	"shift/internal/taint"
 )
 
 // Request-sized layer benchmarks: the shape of one served 4 KB page. The
 // OS reads the page into a tainted source buffer, the guest copies it
 // word by word into a destination buffer through a register, and about a
-// dozen syscall sinks drain the ring and sweep the bitmap on the way —
+// dozen syscall sinks sweep the bitmap on the way —
 // roughly the 3,150 retirements and 12 sweeps of a pooled page request.
 const (
 	reqRecords = 3150
@@ -30,19 +29,19 @@ var (
 // source, store it to the destination (an authoritative store), plus
 // clean ALU traffic, ending with the carrying register cleared so the
 // final register sweep agrees with a NaT-free machine.
-func requestStream() []oracle.Rec {
-	recs := make([]oracle.Rec, 0, reqRecords)
+func requestStream() []Rec {
+	recs := make([]Rec, 0, reqRecords)
 	for i := uint64(0); len(recs) < reqRecords-1; i = (i + 8) % reqBytes {
 		pc := int32(len(recs))
 		recs = append(recs,
-			oracle.Rec{Kind: oracle.RecLoad, Op: isa.OpLd, Dest: 5, S1: 1, Size: 8, PC: pc, Addr: reqSrc + i},
-			oracle.Rec{Kind: oracle.RecStore, Op: isa.OpSt, S1: 2, S2: 5, Size: 8, Flags: oracle.FlagAuth, PC: pc + 1, Addr: reqDst + i},
-			oracle.Rec{Kind: oracle.RecUnion2, Op: isa.OpAdd, Dest: 6, S1: 6, S2: 7, PC: pc + 2},
-			oracle.Rec{Kind: oracle.RecCopy, Op: isa.OpAddi, Dest: 1, S1: 1, PC: pc + 3},
+			Rec{Kind: RecLoad, Op: isa.OpLd, Dest: 5, S1: 1, Size: 8, PC: pc, Addr: reqSrc + i},
+			Rec{Kind: RecStore, Op: isa.OpSt, S1: 2, S2: 5, Size: 8, Flags: FlagAuth, PC: pc + 1, Addr: reqDst + i},
+			Rec{Kind: RecUnion2, Op: isa.OpAdd, Dest: 6, S1: 6, S2: 7, PC: pc + 2},
+			Rec{Kind: RecCopy, Op: isa.OpAddi, Dest: 1, S1: 1, PC: pc + 3},
 		)
 	}
 	recs = recs[:reqRecords-1]
-	return append(recs, oracle.Rec{Kind: oracle.RecClear, Op: isa.OpMovl, Dest: 5, PC: reqRecords - 1})
+	return append(recs, Rec{Kind: RecClear, Op: isa.OpMovl, Dest: 5, PC: reqRecords - 1})
 }
 
 // requestSpace returns a tag space whose bitmap already holds what the
@@ -60,11 +59,11 @@ func requestSpace(tb testing.TB, g taint.Granularity) (*machine.Machine, *taint.
 	return machine.New(prog, memory), tags
 }
 
-// BenchmarkApplyRec is the committer's per-record cost: one record of the
-// request stream applied to the shadow state.
+// BenchmarkApplyRec is the per-record cost both checkers pay: one record
+// of the request stream applied to the shadow state.
 func BenchmarkApplyRec(b *testing.B) {
 	_, tags := requestSpace(b, taint.Byte)
-	st := oracle.NewState(oracle.Config{Tags: tags, Instrumented: true})
+	st := NewState(Config{Tags: tags, Instrumented: true})
 	st.HostTaint(reqSrc, reqBytes)
 	recs := requestStream()
 	b.ReportAllocs()
@@ -76,9 +75,9 @@ func BenchmarkApplyRec(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineRun is one request's whole checker lifetime: New, the
-// host taint of the page, the record stream with its sink drains and
-// bitmap sweeps, Finish and Close.
+// BenchmarkPipelineRun is one request's whole sink-granular checker
+// lifetime: NewSinkChecker, the host taint of the page, the record stream
+// with its sinks and bitmap sweeps, and Finish.
 func BenchmarkPipelineRun(b *testing.B) {
 	for _, g := range []taint.Granularity{taint.Byte, taint.Word} {
 		b.Run(g.String(), func(b *testing.B) {
@@ -88,22 +87,23 @@ func BenchmarkPipelineRun(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p := New(Config{Tags: tags, Instrumented: true})
-				p.HostWrite(reqSrc, reqBytes)
-				p.HostTaint(reqSrc, reqBytes)
+				c := NewSinkChecker(Config{Tags: tags, Instrumented: true})
+				c.HostWrite(reqSrc, reqBytes)
+				c.HostTaint(reqSrc, reqBytes)
 				for k := range recs {
-					p.emit(recs[k])
+					if d := c.emit(recs[k]); d != nil {
+						b.Fatal(d)
+					}
 					if (k+1)%per == 0 {
-						p.drain()
-						if _, d := p.st.Sweep(m); d != nil {
+						c.drain()
+						if _, d := c.st.Sweep(m); d != nil {
 							b.Fatal(d)
 						}
 					}
 				}
-				if err := p.Finish(m); err != nil {
+				if err := c.Finish(m); err != nil {
 					b.Fatal(err)
 				}
-				p.Close()
 			}
 		})
 	}

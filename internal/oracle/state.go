@@ -19,11 +19,11 @@ type regShadow struct {
 
 // State is the reference shadow taint state — an explicit taint bit per
 // general register (per thread) and per tracked memory unit — and the
-// one interpreter of taint records. Both checkers run on it: the
-// lockstep oracle applies each record as it is encoded, the decoupled
-// tag pipeline applies the same records later from its ring. The
-// checks that compare State against the machine's tag state (CheckRegs,
-// Sweep) are shared too; only when they run differs.
+// one interpreter of taint records. Both checkers run on it and apply
+// each record as it is encoded. The checks that compare State against
+// the machine's tag state (CheckRegs, Sweep) are shared too; only when
+// they run differs: at every original-instruction boundary in the
+// lockstep oracle, at sinks in the sink-granular checker.
 type State struct {
 	cfg     Config
 	mem     *shadow.Memory

@@ -46,7 +46,7 @@ type transferCase struct {
 // State.Apply (the oracle's PostStep) from a chosen shadow state, then
 // compares the resulting shadow taint with the table, which is written
 // out literally rather than computed. Both checkers share these rules,
-// so the inline-vs-decoupled suites cannot catch a wrong rule; this
+// so the oracle-vs-sink-checker suites cannot catch a wrong rule; this
 // table can.
 func TestTransferRules(t *testing.T) {
 	inst := Config{Instrumented: true}

@@ -1,5 +1,5 @@
 // Package shadow is the checkers' reference copy of guest memory taint:
-// the state the lockstep oracle and the decoupled tag pipeline propagate
+// the state the lockstep oracle and the sink-granular checker propagate
 // independently of the guest's own tag bitmap, and then cross-check
 // against it.
 //

@@ -12,7 +12,7 @@ import (
 // reads must be invisible to it: not only simulated cycles but also the
 // guest's software-TLB statistics (exported as shift_tlb_hits and
 // shift_tlb_misses) must be the same whether a run is unchecked, checked
-// by the lockstep oracle, or checked by the decoupled tag pipeline.
+// by the lockstep oracle, or checked by the sink-granular checker.
 func TestCheckersLeaveTLBStatsAlone(t *testing.T) {
 	slow := map[string]bool{"vpr": true, "twolf": true, "mcf": true}
 	for _, b := range workload.All() {

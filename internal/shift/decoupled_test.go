@@ -1,26 +1,29 @@
 package shift_test
 
-// Differential suite for the decoupled tag pipeline: every workload,
-// attack and threaded schedule runs once under the inline lockstep
-// oracle and once under the asynchronous pipeline, and the two runs must
-// agree on every observable — traps, alerts, output, exit status, cycle
-// accounting, machine state, and the taint bitmap. Verdict equivalence
-// is the pipeline's acceptance criterion (DESIGN.md "Decoupled tag
-// pipeline"); the -race CI stage runs this file too, covering the
-// producer/committer handoffs.
+// Differential suite for the sink-granular checker (Options.Decoupled):
+// every workload, attack and threaded schedule runs once under the
+// lockstep oracle and once under the sink-granular checker, and the two
+// runs must agree on every observable — traps, alerts, output, exit
+// status, cycle accounting, machine state, and the taint bitmap.
+// Verdict equivalence is the checker's acceptance criterion (DESIGN.md
+// §4c); the -race CI stage runs this file too.
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"shift/internal/attacks"
+	"shift/internal/isa"
+	"shift/internal/loader"
+	"shift/internal/machine"
 	"shift/internal/shift"
 	"shift/internal/taint"
 	"shift/internal/workload"
 )
 
-// inlineVsDecoupled runs the same build under the inline oracle and
-// under the decoupled pipeline with fresh worlds.
+// inlineVsDecoupled runs the same build under the lockstep oracle and
+// under the sink-granular checker with fresh worlds.
 func inlineVsDecoupled(t *testing.T, label string, sources []shift.Source,
 	world func() *shift.World, opt shift.Options) (*shift.Result, *shift.Result) {
 	t.Helper()
@@ -36,19 +39,19 @@ func inlineVsDecoupled(t *testing.T, label string, sources []shift.Source,
 	opt.Oracle, opt.Decoupled = false, 1
 	got, err := shift.Run(prog, world(), opt)
 	if err != nil {
-		t.Fatalf("%s: decoupled run: %v", label, err)
+		t.Fatalf("%s: sink-checker run: %v", label, err)
 	}
 	if got.Pipe == nil {
-		t.Fatalf("%s: decoupled run has no pipeline", label)
+		t.Fatalf("%s: sink-checker run has no checker", label)
 	}
 	if got.Pipe.Stats.Records.Load() == 0 {
-		t.Fatalf("%s: pipeline idle: no retirement records flowed", label)
+		t.Fatalf("%s: sink checker idle: no retirement records flowed", label)
 	}
 	return ref, got
 }
 
 // TestDecoupledWorkloads sweeps the Figure 7 benchmarks: inline and
-// decoupled verdicts and observables must agree in every mode.
+// sink-granular verdicts and observables must agree in every mode.
 func TestDecoupledWorkloads(t *testing.T) {
 	modes := []struct {
 		name string
@@ -98,7 +101,7 @@ func TestDecoupledWorkloads(t *testing.T) {
 
 // TestDecoupledAttacks runs every Table 2 attack's benign and exploit
 // inputs: detections and alert details must be identical between the
-// inline oracle and the pipeline at both granularities.
+// lockstep oracle and the sink checker at both granularities.
 func TestDecoupledAttacks(t *testing.T) {
 	grans := []taint.Granularity{taint.Byte, taint.Word}
 	if testing.Short() {
@@ -184,7 +187,7 @@ void main() {
 }
 
 // TestDecoupledComposesWithOracle runs both checkers in the same run:
-// the oracle hooks first (inline abort semantics), the pipeline rides
+// the oracle hooks first (inline abort semantics), the sink checker rides
 // behind over the same stream and host effects fan out to both. A clean
 // workload must stay clean and agree with the oracle-only run.
 func TestDecoupledComposesWithOracle(t *testing.T) {
@@ -215,6 +218,51 @@ func TestDecoupledComposesWithOracle(t *testing.T) {
 	}
 	compareResults(t, "oracle+pipe", ref, got)
 	if got.Pipe.Divergence() != nil {
-		t.Fatalf("pipeline diverged where the oracle did not: %v", got.Pipe.Divergence())
+		t.Fatalf("sink checker diverged where the oracle did not: %v", got.Pipe.Divergence())
+	}
+}
+
+// goroutineProbe is a step hook that records the most goroutines alive
+// at any retirement.
+type goroutineProbe struct{ peak int }
+
+func (p *goroutineProbe) PreStep(*machine.Machine, *isa.Instruction) {}
+
+func (p *goroutineProbe) PostStep(*machine.Machine, *isa.Instruction) error {
+	if n := runtime.NumGoroutine(); n > p.peak {
+		p.peak = n
+	}
+	return nil
+}
+
+// TestDecoupledStartsNoGoroutine: a checked RunOn applies every record on
+// the execution goroutine, so no goroutine is alive during the run or
+// left behind after it that was not there before.
+func TestDecoupledStartsNoGoroutine(t *testing.T) {
+	opt := shift.Options{Instrument: true, Policy: workload.HTTPDConfig(), Decoupled: 1}
+	prog, err := shift.Build([]shift.Source{{Name: "httpd.mc", Text: workload.HTTPDSource}}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := loader.Load(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world := workload.HTTPDWorld(2, 256)
+	world.HeapBase, world.StackTop = img.HeapBase, img.StackTop
+	mach := img.NewMachine()
+	probe := &goroutineProbe{}
+	mach.Hook = probe // RunOn composes the checker behind it
+	before := runtime.NumGoroutine()
+	res, err := shift.RunOn(mach, world, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := runtime.NumGoroutine()
+	if res.Trap != nil || res.Pipe == nil || res.Pipe.Stats.Records.Load() == 0 {
+		t.Fatalf("checked run: trap %v, checker %v", res.Trap, res.Pipe)
+	}
+	if probe.peak != before || after != before {
+		t.Errorf("goroutines: %d before, peak %d during, %d after the checked run; want no change", before, probe.peak, after)
 	}
 }

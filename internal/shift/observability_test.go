@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -175,6 +176,44 @@ func TestTraceComposesWithOracle(t *testing.T) {
 	}
 	if tr.Total() == 0 {
 		t.Fatal("tracer saw no events with the oracle attached")
+	}
+}
+
+// A metered run under the sink-granular checker exports its record and
+// drain counts, and none of the ring-era series (segments, stalls, lag),
+// which could only read zero.
+func TestSinkCheckerMetrics(t *testing.T) {
+	reg := metrics.NewRegistry()
+	res, err := shift.BuildAndRun(
+		[]shift.Source{{Name: "httpd.mc", Text: workload.HTTPDSource}},
+		workload.HTTPDWorld(2, 256),
+		shift.Options{Instrument: true, Policy: workload.HTTPDConfig(), Decoupled: 1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trap != nil || res.Pipe == nil {
+		t.Fatalf("checked run: trap %v, checker %v", res.Trap, res.Pipe)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	text := sb.String()
+	for name, want := range map[string]uint64{
+		"shift_tagpipe_records_total": res.Pipe.Stats.Records.Load(),
+		"shift_tagpipe_drains_total":  res.Pipe.Stats.Drains.Load(),
+	} {
+		if want == 0 {
+			t.Errorf("%s: the checker counted nothing", name)
+		}
+		if line := fmt.Sprintf("%s %d\n", name, want); !strings.Contains(text, line) {
+			t.Errorf("exposition lacks %q:\n%s", line, text)
+		}
+	}
+	for _, gone := range []string{"shift_tagpipe_segments_total", "shift_tagpipe_stalls_total", "shift_tagpipe_lag_records"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("exposition still carries %s", gone)
+		}
 	}
 }
 

@@ -43,17 +43,16 @@ type HostEffects interface {
 	OnSpawn(parentTID, childTID int)
 }
 
-// SinkSyncer is the optional extension an asynchronous checker (the
-// decoupled tag pipeline) implements: a policy sink is about to render a
-// verdict, so any in-flight shadow propagation must be drained first and
-// any divergence it exposed must preempt the verdict. The inline oracle
-// doesn't need it — it is never behind.
+// SinkSyncer is the optional extension the sink-granular checker
+// (oracle.SinkChecker) implements: a policy sink is about to render a
+// verdict, and the checker counts it. The shadow state is already
+// current, since records are applied as they retire.
 type SinkSyncer interface {
-	SyncSink(m *machine.Machine, sink string) error
+	SyncSink()
 }
 
 // multiEffects fans host-effect notifications out to several observers
-// (oracle and pipeline together, for differential runs). SyncSink
+// (oracle and sink checker together, for differential runs). SyncSink
 // delegates to every member that implements it.
 type multiEffects []HostEffects
 
@@ -81,28 +80,19 @@ func (me multiEffects) OnSpawn(parentTID, childTID int) {
 	}
 }
 
-func (me multiEffects) SyncSink(m *machine.Machine, sink string) error {
+func (me multiEffects) SyncSink() {
 	for _, e := range me {
 		if s, ok := e.(SinkSyncer); ok {
-			if err := s.SyncSink(m, sink); err != nil {
-				return err
-			}
+			s.SyncSink()
 		}
 	}
-	return nil
 }
 
-// syncSink drains asynchronous checkers before a sink verdict; a
-// divergence surfaced by the drain preempts the verdict as a TrapOracle.
-func (w *World) syncSink(m *machine.Machine, sink string) *machine.Trap {
-	s, ok := w.Effects.(SinkSyncer)
-	if !ok {
-		return nil
+// syncSink tells a sink-granular checker that a sink verdict is next.
+func (w *World) syncSink() {
+	if s, ok := w.Effects.(SinkSyncer); ok {
+		s.SyncSink()
 	}
-	if err := s.SyncSink(m, sink); err != nil {
-		return &machine.Trap{Kind: machine.TrapOracle, PC: m.PC, Ins: "syscall", Err: err}
-	}
-	return nil
 }
 
 // World is the OS model: files, the network, program arguments, output
@@ -220,12 +210,7 @@ func (w *World) notifyWrite(m *machine.Machine, addr uint64, n int) {
 // invoke it only when an Engine is installed — a recorded policy-check
 // event means a check actually ran.
 func (w *World) checkSink(m *machine.Machine, sink string, v *policy.Violation) *machine.Trap {
-	// A sink verdict is a synchronization point for asynchronous shadow
-	// propagation: drain before rendering, and let a divergence the drain
-	// exposes preempt the verdict.
-	if t := w.syncSink(m, sink); t != nil {
-		return t
-	}
+	w.syncSink()
 	w.emit(m, trace.Event{Kind: trace.KindPolicyCheck, Name: sink})
 	if v == nil {
 		return nil
@@ -394,9 +379,7 @@ func (w *World) Syscall(m *machine.Machine, num int64) (uint64, *machine.Trap) {
 		// A §3.3.3 user-level guard (chk.s before a critical use)
 		// caught a taint token and transferred control here instead of
 		// taking a hardware fault.
-		if t := w.syncSink(m, "user_alert"); t != nil {
-			return 0, t
-		}
+		w.syncSink()
 		v := &policy.Violation{
 			Policy: "L3",
 			Detail: fmt.Sprintf("user-level chk.s handler caught tainted critical data (pc=%d)", m.PC),

@@ -6,7 +6,7 @@ package shift_test
 // outputs, same exit status, and a bit-identical region-0 tag bitmap —
 // across every Fig-7 workload and every Table-2 attack, benign and
 // exploit, under both run-time checkers (the lockstep oracle and the
-// decoupled tag pipeline). The oracle's shadow models full Figure-5
+// sink-granular checker). The oracle's shadow models full Figure-5
 // semantics, so running it over a selective build re-validates every
 // skip at run time: an unsound skip surfaces as a TrapOracle
 // divergence. The mutation suite below injects exactly such unsound
@@ -92,7 +92,7 @@ func compareVerdicts(t *testing.T, label string, ref, got *shift.Result) {
 // fullVsSelective builds the sources fully and selectively instrumented,
 // runs the full build under the lockstep oracle (the trusted reference),
 // then runs the selective build twice — once under the oracle, once
-// under the decoupled tag pipeline — and demands verdict equivalence
+// under the sink-granular checker — and demands verdict equivalence
 // and checker silence every time.
 func fullVsSelective(t *testing.T, label string, sources []shift.Source,
 	world func() *shift.World, opt shift.Options) (*shift.Result, instrument.Stats) {
@@ -136,10 +136,10 @@ func fullVsSelective(t *testing.T, label string, sources []shift.Source,
 		t.Fatalf("%s: selective tagpipe run: %v", label, err)
 	}
 	if gotP.Pipe == nil {
-		t.Fatalf("%s: tagpipe run has no pipeline", label)
+		t.Fatalf("%s: tagpipe run has no sink checker", label)
 	}
 	if d := gotP.Pipe.Divergence(); d != nil {
-		t.Fatalf("%s: tag pipeline diverged on the selective build: %v", label, d)
+		t.Fatalf("%s: sink checker diverged on the selective build: %v", label, d)
 	}
 	compareVerdicts(t, label+"/tagpipe", ref, gotP)
 	return ref, stats

@@ -24,7 +24,6 @@ import (
 	"shift/internal/oracle"
 	"shift/internal/policy"
 	"shift/internal/rtlib"
-	"shift/internal/tagpipe"
 	"shift/internal/taint"
 	"shift/internal/trace"
 )
@@ -86,18 +85,13 @@ type Options struct {
 	// shadow-taint interpretation. A disagreement stops the run with a
 	// TrapOracle carrying a full divergence report (Result.Trap).
 	Oracle bool
-	// Decoupled > 0 runs the decoupled tag pipeline: tag state is
-	// maintained asynchronously over a retirement log by one committer
-	// goroutine, and every policy sink drains the log before its
-	// verdict. Verdicts are equivalent to the inline oracle's; the strong
-	// cross-checks run at sink granularity instead of at every
-	// original-instruction boundary (see DESIGN.md "Decoupled tag
-	// pipeline"). Composable with Oracle for differential testing.
+	// Decoupled > 0 runs the sink-granular checker (oracle.SinkChecker):
+	// each retired instruction's record is applied to the shadow state as
+	// it retires, and the strong cross-checks run at policy sinks and at
+	// the end of the run instead of at every original-instruction
+	// boundary (see DESIGN.md §4c). Verdicts are equivalent to the
+	// lockstep oracle's. Composable with Oracle for differential testing.
 	Decoupled int
-	// DecoupledWindow overrides the pipeline's per-segment record count
-	// (the lag window is 64 segments × this; 0 = default 256). Exposed
-	// for the fuzz harness, which shrinks it to force stalls and drains.
-	DecoupledWindow int
 	// Costs overrides the cycle cost model (nil = machine defaults).
 	Costs *machine.Costs
 	// Engine selects the execution engine of hook-free runs: the
@@ -213,6 +207,17 @@ func (a *Alert) String() string {
 	return a.Trap.Error()
 }
 
+// ValidateTagpipeFlag checks a -tagpipe flag value, which sets
+// Options.Decoupled: 1 runs the sink-granular checker, 0 runs without
+// it. Every command that takes the flag rejects anything else with this
+// message.
+func ValidateTagpipeFlag(n int) error {
+	if n != 0 && n != 1 {
+		return fmt.Errorf("invalid -tagpipe value %d (want 1 = check with the sink-granular checker or 0 = no sink-granular checker)", n)
+	}
+	return nil
+}
+
 // Result collects everything a run produced.
 type Result struct {
 	ExitStatus int64
@@ -227,9 +232,9 @@ type Result struct {
 	// Oracle is the lockstep checker when Options.Oracle was set; its
 	// Divergence() and Stats report what was cross-checked.
 	Oracle *oracle.Oracle
-	// Pipe is the decoupled tag pipeline when Options.Decoupled was set;
+	// Pipe is the sink-granular checker when Options.Decoupled was set;
 	// its Divergence() and Stats report what was propagated and checked.
-	Pipe *tagpipe.Pipeline
+	Pipe *oracle.SinkChecker
 	// Trace is the flight recorder when Options.Trace was set.
 	Trace *trace.Tracer
 }
@@ -268,7 +273,7 @@ func Run(prog *isa.Program, world *World, opt Options) (*Result, error) {
 }
 
 // RunOn executes world on an already-constructed machine: the full Run
-// wiring — tag space, policy engine, oracle, decoupled tag pipeline,
+// wiring — tag space, policy engine, oracle, sink-granular checker,
 // observability hooks, scheduler — applied to a machine the caller
 // built. This is the reuse seam for pooled guests (internal/pool):
 // a recycled machine restored from a snapshot re-enters here for each
@@ -311,27 +316,22 @@ func RunOn(mach *machine.Machine, world *World, opt Options) (*Result, error) {
 		mach.Costs = *opt.Costs
 	}
 
+	checkCfg := oracle.Config{Tags: world.Tags, Instrumented: opt.Instrument, UnsafePreempt: opt.UnsafePreempt}
 	var orc *oracle.Oracle
 	if opt.Oracle {
-		orc = oracle.New(oracle.Config{Tags: world.Tags, Instrumented: opt.Instrument, UnsafePreempt: opt.UnsafePreempt})
+		orc = oracle.New(checkCfg)
 		orc.Attach(mach)
 		world.Effects = orc
 	}
 
-	// The decoupled tag pipeline rides the same seams as the oracle: the
-	// StepHook retirement stream feeds its ring, and the host-effect
-	// notifications become its synchronous sink drains. With both engines
-	// requested the oracle hooks first, keeping its at-the-instruction
-	// abort semantics; the pipeline then sees exactly the same stream.
-	var pipe *tagpipe.Pipeline
+	// The sink-granular checker rides the same seams as the oracle: the
+	// StepHook retirement stream and the host-effect notifications. With
+	// both checkers requested the oracle hooks first, keeping its
+	// per-boundary abort semantics; the sink checker then sees exactly the
+	// same stream.
+	var pipe *oracle.SinkChecker
 	if opt.Decoupled > 0 {
-		pipe = tagpipe.New(tagpipe.Config{
-			Tags:          world.Tags,
-			Instrumented:  opt.Instrument,
-			UnsafePreempt: opt.UnsafePreempt,
-			SegRecords:    opt.DecoupledWindow,
-		})
-		defer pipe.Close()
+		pipe = oracle.NewSinkChecker(checkCfg)
 		if mach.Hook != nil {
 			mach.Hook = machine.MultiHook{mach.Hook, pipe}
 		} else {
@@ -360,10 +360,7 @@ func RunOn(mach *machine.Machine, world *World, opt Options) (*Result, error) {
 	if opt.Metrics != nil && pipe != nil {
 		s := &pipe.Stats
 		opt.Metrics.GaugeFunc("shift_tagpipe_records_total", func() uint64 { return s.Records.Load() })
-		opt.Metrics.GaugeFunc("shift_tagpipe_segments_total", func() uint64 { return s.Segments.Load() })
-		opt.Metrics.GaugeFunc("shift_tagpipe_stalls_total", func() uint64 { return s.Stalls.Load() })
 		opt.Metrics.GaugeFunc("shift_tagpipe_drains_total", func() uint64 { return s.Drains.Load() })
-		opt.Metrics.GaugeFunc("shift_tagpipe_lag_records", pipe.Lag)
 	}
 	if opt.Metrics != nil {
 		m := mach.Mem
@@ -393,8 +390,8 @@ func RunOn(mach *machine.Machine, world *World, opt Options) (*Result, error) {
 		}
 	}
 	if trap == nil && pipe != nil {
-		// Same final agreement for the decoupled engine: drain the ring
-		// and run the closing register/bitmap sweeps.
+		// Same final agreement for the sink checker: the closing
+		// register check and bitmap sweep.
 		if err := pipe.Finish(mach); err != nil {
 			trap = &machine.Trap{Kind: machine.TrapOracle, PC: mach.PC, Ins: "<finish>", Err: err}
 		}
