@@ -65,6 +65,7 @@ import (
 	"shift/internal/isa"
 	"shift/internal/machine"
 	"shift/internal/metrics"
+	"shift/internal/oracle"
 	"shift/internal/policy"
 	"shift/internal/shift"
 	"shift/internal/taint"
@@ -227,14 +228,10 @@ func main() {
 		}
 	}
 	if *oracleOn && res.Oracle != nil {
-		st := res.Oracle.Stats
-		fmt.Printf("oracle: %d steps, %d register checks, %d unit checks, %d sweeps\n",
-			st.Steps, st.RegChecks, st.UnitChecks, st.Sweeps)
+		printChecker("oracle", &res.Oracle.Stats)
 	}
 	if *tagpipeN > 0 && res.Pipe != nil {
-		s := &res.Pipe.Stats
-		fmt.Printf("tagpipe: %d records, %d drains, %d sweeps\n",
-			s.Records.Load(), s.Drains.Load(), s.Sweeps.Load())
+		printChecker("tagpipe", &res.Pipe.Stats)
 	}
 	if *selective && *protect {
 		fmt.Printf("selective: %d sites, %d instrumented, %d skipped\n",
@@ -308,4 +305,18 @@ func writeOut(path string, fn func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// printChecker prints a checker's counters under its flag's name: the
+// lockstep oracle's cross-checks, or the records the sink-granular
+// checker applied and the sinks it reached.
+func printChecker(name string, st *oracle.Stats) {
+	fmt.Printf("%s: ", name)
+	if name == "oracle" {
+		fmt.Printf("%d steps, %d register checks, %d unit checks, ",
+			st.Steps.Load(), st.RegChecks.Load(), st.UnitChecks.Load())
+	} else {
+		fmt.Printf("%d records, %d drains, ", st.Records.Load(), st.Drains.Load())
+	}
+	fmt.Printf("%d sweeps\n", st.Sweeps.Load())
 }

@@ -104,10 +104,10 @@ func EvaluateAll() ([]*Result, error) {
 // Scenario Kind constants, so an exploit verdict matches its scenario
 // exactly when the detection arrived through the declared path.
 const (
-	VerdictSilent = "silent"  // ran to completion, no alert
-	VerdictSink   = KindSink  // alert raised by a syscall sink check (H1–H5)
-	VerdictTrap   = KindTrap  // alert from a NaT-consumption trap (L1–L3)
-	VerdictFault  = "fault"   // non-policy trap (a bug, or a suppressed L policy)
+	VerdictSilent = "silent" // ran to completion, no alert
+	VerdictSink   = KindSink // alert raised by a syscall sink check (H1–H5)
+	VerdictTrap   = KindTrap // alert from a NaT-consumption trap (L1–L3)
+	VerdictFault  = "fault"  // non-policy trap (a bug, or a suppressed L policy)
 )
 
 // Verdict classifies one run's outcome.

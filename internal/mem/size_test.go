@@ -98,9 +98,9 @@ func TestCheckAccessMatchesRead(t *testing.T) {
 		{Addr(1, 0x101), 8}, // unaligned
 		{Addr(1, 0x100), 3}, // bad size
 		{Addr(1, 0x1ff8), 8},
-		{Addr(1, 0x1ffc), 8}, // past limit
-		{Addr(2, 0x100), 8},  // unmapped region
-		{Addr(1, 0x100) | 1 << 50, 8}, // unimplemented bits
+		{Addr(1, 0x1ffc), 8},        // past limit
+		{Addr(2, 0x100), 8},         // unmapped region
+		{Addr(1, 0x100) | 1<<50, 8}, // unimplemented bits
 	}
 	for _, c := range cases {
 		hits, misses := m.Cache.Hits, m.Cache.Misses

@@ -1,31 +1,27 @@
 // Package oracle implements a host-side reference DIFT engine that runs
-// in lockstep with the simulated machine and cross-checks SHIFT's
-// NaT/bitmap tag machinery against plain shadow-taint interpretation.
+// alongside the simulated machine and cross-checks SHIFT's NaT/bitmap
+// tag machinery against plain shadow-taint interpretation.
 //
-// The oracle keeps an explicit taint bit per general register (per
+// The engine keeps an explicit taint bit per general register (per
 // thread) and per tracked memory unit, propagated by direct
 // interpretation of each retired instruction — with none of the
 // NaT/spill/UNAT machinery the instrumented program uses. Where the two
 // representations must agree (register NaT bits at original-instruction
-// boundaries, the region-0 tag bitmap at stores, spills and syscall
-// boundaries), any disagreement is reported as a Divergence carrying a
+// boundaries, the region-0 tag bitmap after stores, spills and at
+// syscalls), any disagreement is reported as a Divergence carrying a
 // machine snapshot. HardTaint (arXiv:2402.17241) validates selective
 // hardware tracing against exactly this kind of full software oracle;
 // this package gives the SHIFT reproduction the same safety net.
 //
-// The package holds two checkers over one shadow state and one set of
-// transfer rules: the lockstep Oracle, which cross-checks at every
-// original-instruction boundary (the strict/debug mode), and the
-// SinkChecker, which applies the same records as they retire but runs
-// the register and bitmap cross-checks only at policy sinks.
+// There is one checker, Checker, over one shadow State and one set of
+// transfer rules, run at one of two granularities. At Boundary it
+// cross-checks at every original-instruction boundary (the lockstep
+// strict/debug mode); at Sink it applies the same records as they retire
+// but runs the register and bitmap cross-checks only at syscalls and at
+// the end of the run.
 package oracle
 
-import (
-	"fmt"
-	"strings"
-
-	"shift/internal/machine"
-)
+import "fmt"
 
 // DivergenceKind classifies what disagreed.
 type DivergenceKind uint8
@@ -85,18 +81,4 @@ func (d *Divergence) Error() string {
 	}
 	return fmt.Sprintf("oracle divergence (%s) at tid=%d pc=%d [%s]: %s machine=%v shadow=%v\n%s",
 		d.Kind, d.TID, d.PC, d.Ins, where, d.Machine, d.Shadow, d.Snapshot)
-}
-
-// snapshot renders the machine and shadow state for the report: every
-// register that is non-zero, NaT'd or shadow-tainted, one per line.
-func (o *Oracle) snapshot(m *machine.Machine) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "  tid=%d pc=%d retired=%d cycles=%d halted=%v\n",
-		m.TID, m.PC, m.Retired, m.Cycles, m.Halted)
-	fmt.Fprintf(&b, "  UNAT=%#x CCV=%#x\n", m.UNAT, m.CCV)
-	o.WriteRegs(&b, m)
-	if n := len(o.pending); n > 0 {
-		fmt.Fprintf(&b, "  pending unit checks: %d\n", n)
-	}
-	return b.String()
 }

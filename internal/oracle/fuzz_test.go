@@ -33,8 +33,8 @@ func FuzzMachineNaTRules(f *testing.F) {
 		memory.MapRegion(2, 0)
 		m := machine.New(p, memory)
 		m.Feat = machine.Features{SetClrNaT: true, NaTAwareCmp: rng.Intn(2) == 0}
-		o := New(Config{})
-		o.Attach(m)
+		o := New(Config{}, Boundary)
+		m.Hook = o
 		for i := 0; i < 4096 && !m.Halted; i++ {
 			trap := m.Step()
 			if trap == nil {

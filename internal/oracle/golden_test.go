@@ -15,13 +15,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/divergence.golden")
 
-// goldenChecker is what the golden driver needs of a checker.
-type goldenChecker interface {
-	machine.StepHook
-	Finish(*machine.Machine) error
-	HostTaint(addr, n uint64)
-}
-
 // goldenCase is one seeded-bug program whose divergence report is pinned.
 type goldenCase struct {
 	name string
@@ -33,7 +26,7 @@ type goldenCase struct {
 	seed *natAfter
 	// setup runs once the checker is built; before runs ahead of step i;
 	// after runs once every step retired, ahead of Finish.
-	setup  func(tags *taint.Space, c goldenChecker) error
+	setup  func(tags *taint.Space, c *Checker) error
 	before func(i int, m *machine.Machine)
 	after  func(tags *taint.Space) error
 }
@@ -45,7 +38,7 @@ func goldenCases() []goldenCase {
 		{Op: isa.OpSt, Src1: 1, Src2: 2, Size: 8}, // clean store, no tag update follows
 		{Op: isa.OpAdd, Dest: 4, Src1: 2, Src2: 2},
 	}
-	staleTaint := func(tags *taint.Space, _ goldenChecker) error { return tags.SetRange(dataAddr, 8) }
+	staleTaint := func(tags *taint.Space, _ *Checker) error { return tags.SetRange(dataAddr, 8) }
 	return []goldenCase{
 		{name: "stale-bitmap-byte", text: stale, gran: taint.Byte, setup: staleTaint},
 		{name: "stale-bitmap-word", text: stale, gran: taint.Word, setup: staleTaint},
@@ -69,7 +62,7 @@ func goldenCases() []goldenCase {
 				{Op: isa.OpAddi, Dest: 3, Src1: 2, Imm: 1},
 				{Op: isa.OpNop},
 			},
-			setup: func(tags *taint.Space, c goldenChecker) error {
+			setup: func(tags *taint.Space, c *Checker) error {
 				c.HostTaint(dataAddr, 8)
 				return tags.SetRange(dataAddr, 8)
 			},
@@ -118,9 +111,9 @@ func goldenCases() []goldenCase {
 	}
 }
 
-// goldenReport runs gc under the checker mk builds and returns where the
-// divergence landed (a step, or Finish) and its full report.
-func goldenReport(t *testing.T, gc goldenCase, mk func(Config) goldenChecker) string {
+// goldenReport runs gc under a checker at granularity g and returns where
+// the divergence landed (a step, or Finish) and its full report.
+func goldenReport(t *testing.T, gc goldenCase, g Granularity) string {
 	t.Helper()
 	m, tags := buildMachine(t, gc.text, gc.gran)
 	m.OS = r8OS{}
@@ -129,7 +122,7 @@ func goldenReport(t *testing.T, gc goldenCase, mk func(Config) goldenChecker) st
 	if gc.bare {
 		cfg = Config{}
 	}
-	c := mk(cfg)
+	c := New(cfg, g)
 	m.Hook = c
 	if gc.seed != nil {
 		m.Hook = machine.MultiHook{*gc.seed, c}
@@ -169,17 +162,10 @@ func goldenReport(t *testing.T, gc goldenCase, mk func(Config) goldenChecker) st
 // with `go test ./internal/oracle -run TestDivergenceGolden -update`
 // only when a report change is intended.
 func TestDivergenceGolden(t *testing.T) {
-	checkers := []struct {
-		name string
-		mk   func(Config) goldenChecker
-	}{
-		{"boundary", func(cfg Config) goldenChecker { return New(cfg) }},
-		{"sink", func(cfg Config) goldenChecker { return NewSinkChecker(cfg) }},
-	}
 	var b strings.Builder
 	for _, gc := range goldenCases() {
-		for _, ck := range checkers {
-			fmt.Fprintf(&b, "=== %s %s\n%s", gc.name, ck.name, goldenReport(t, gc, ck.mk))
+		for _, g := range grans {
+			fmt.Fprintf(&b, "=== %s %v\n%s", gc.name, g, goldenReport(t, gc, g))
 		}
 	}
 	const path = "testdata/divergence.golden"

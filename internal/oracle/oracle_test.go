@@ -37,8 +37,37 @@ func stepAll(m *machine.Machine, n int) *machine.Trap {
 
 var dataAddr = mem.Addr(2, 0x100)
 
+// grans are the two checking granularities, for table tests.
+var grans = []Granularity{Boundary, Sink}
+
+// atFinish marks a divergence detected by Finish rather than at a step.
+const atFinish = -1
+
+// detect steps m n more times and then calls Finish, and returns where
+// the checker reported its divergence (the program's step index, or
+// atFinish) and the divergence. A trap that carries no divergence fails
+// the test.
+func detect(t *testing.T, m *machine.Machine, c *Checker, n int) (int, *Divergence) {
+	t.Helper()
+	var d *Divergence
+	base := int(m.Retired)
+	for i := base; i < base+n; i++ {
+		if trap := m.Step(); trap != nil {
+			if trap.Kind != machine.TrapOracle || !errors.As(trap.Err, &d) {
+				t.Fatalf("step %d: trap %v, want a divergence", i, trap)
+			}
+			return i, d
+		}
+	}
+	if err := c.Finish(m); !errors.As(err, &d) {
+		t.Fatalf("Finish = %v, want a divergence", err)
+	}
+	return atFinish, d
+}
+
 // A store/load/ALU round trip with agreeing state must run divergence-free
-// in both instrumented and uninstrumented configurations.
+// in both instrumented and uninstrumented configurations, at either
+// granularity, with every step observed and every record applied.
 func TestOracleCleanRun(t *testing.T) {
 	text := []isa.Instruction{
 		{Op: isa.OpMovl, Dest: 1, Imm: int64(dataAddr)},
@@ -47,25 +76,36 @@ func TestOracleCleanRun(t *testing.T) {
 		{Op: isa.OpLd, Dest: 3, Src1: 1, Size: 8},
 		{Op: isa.OpAdd, Dest: 4, Src1: 2, Src2: 3},
 	}
-	for _, instrumented := range []bool{false, true} {
-		m, tags := buildMachine(t, text, taint.Byte)
-		o := New(Config{Tags: tags, Instrumented: instrumented})
-		o.Attach(m)
-		if trap := stepAll(m, len(text)); trap != nil {
-			t.Fatalf("instrumented=%v: %v", instrumented, trap)
-		}
-		if err := o.Finish(m); err != nil {
-			t.Fatalf("instrumented=%v: Finish: %v", instrumented, err)
-		}
-		if o.Stats.Steps != uint64(len(text)) {
-			t.Errorf("observed %d steps, want %d", o.Stats.Steps, len(text))
-		}
+	for _, g := range grans {
+		t.Run(g.String(), func(t *testing.T) {
+			for _, instrumented := range []bool{false, true} {
+				m, tags := buildMachine(t, text, taint.Byte)
+				c := New(Config{Tags: tags, Instrumented: instrumented}, g)
+				m.Hook = c
+				if trap := stepAll(m, len(text)); trap != nil {
+					t.Fatalf("instrumented=%v: %v", instrumented, trap)
+				}
+				if err := c.Finish(m); err != nil {
+					t.Fatalf("instrumented=%v: Finish: %v", instrumented, err)
+				}
+				if got := c.Stats.Steps.Load(); got != uint64(len(text)) {
+					t.Errorf("observed %d steps, want %d", got, len(text))
+				}
+				if got := c.Stats.Records.Load(); got != uint64(len(text)) {
+					t.Errorf("%d records, want %d", got, len(text))
+				}
+				if got := c.Stats.Drains.Load(); got != 1 {
+					t.Errorf("%d drains, want 1 (Finish)", got)
+				}
+			}
+		})
 	}
 }
 
 // A store whose tag update went missing (here: the bitmap says tainted,
-// the stored value was clean) must surface as a bitmap divergence at the
-// next original-instruction boundary.
+// the stored value was clean) must surface as a bitmap divergence: at
+// the next original-instruction boundary at Boundary granularity, and —
+// the program has no syscalls — at Finish at Sink granularity.
 func TestOracleCatchesStaleBitmap(t *testing.T) {
 	text := []isa.Instruction{
 		{Op: isa.OpMovl, Dest: 1, Imm: int64(dataAddr)},
@@ -73,56 +113,69 @@ func TestOracleCatchesStaleBitmap(t *testing.T) {
 		{Op: isa.OpSt, Src1: 1, Src2: 2, Size: 8}, // clean store, no tag update follows
 		{Op: isa.OpAdd, Dest: 4, Src1: 2, Src2: 2},
 	}
-	for _, g := range []taint.Granularity{taint.Byte, taint.Word} {
-		m, tags := buildMachine(t, text, g)
-		if err := tags.SetRange(dataAddr, 8); err != nil { // seeded bug: stale taint
-			t.Fatal(err)
-		}
-		o := New(Config{Tags: tags, Instrumented: true})
-		o.Attach(m)
-		trap := stepAll(m, len(text))
-		if trap == nil || trap.Kind != machine.TrapOracle {
-			t.Fatalf("gran=%v: trap = %v, want oracle divergence", g, trap)
-		}
-		var d *Divergence
-		if !errors.As(trap.Err, &d) || d.Kind != DivBitmap {
-			t.Fatalf("gran=%v: divergence = %+v, want DivBitmap", g, trap.Err)
-		}
-		if d.Addr != tags.Gran.UnitBytes()*(dataAddr/tags.Gran.UnitBytes()) {
-			t.Errorf("gran=%v: diverging unit %#x, want one covering %#x", g, d.Addr, dataAddr)
-		}
-		if !d.Machine || d.Shadow {
-			t.Errorf("gran=%v: machine=%v shadow=%v, want true/false", g, d.Machine, d.Shadow)
-		}
+	rows := []struct {
+		g  Granularity
+		at int
+	}{{Boundary, 3}, {Sink, atFinish}}
+	for _, row := range rows {
+		t.Run(row.g.String(), func(t *testing.T) {
+			for _, g := range []taint.Granularity{taint.Byte, taint.Word} {
+				m, tags := buildMachine(t, text, g)
+				if err := tags.SetRange(dataAddr, 8); err != nil { // seeded bug: stale taint
+					t.Fatal(err)
+				}
+				c := New(Config{Tags: tags, Instrumented: true}, row.g)
+				m.Hook = c
+				at, d := detect(t, m, c, len(text))
+				if at != row.at || d.Kind != DivBitmap {
+					t.Fatalf("gran=%v: %v at %d, want DivBitmap at %d", g, d.Kind, at, row.at)
+				}
+				if d.Addr != tags.Gran.UnitBytes()*(dataAddr/tags.Gran.UnitBytes()) {
+					t.Errorf("gran=%v: diverging unit %#x, want one covering %#x", g, d.Addr, dataAddr)
+				}
+				if !d.Machine || d.Shadow {
+					t.Errorf("gran=%v: machine=%v shadow=%v, want true/false", g, d.Machine, d.Shadow)
+				}
+				if c.Divergence() != d {
+					t.Errorf("gran=%v: Divergence() not latched", g)
+				}
+			}
+		})
 	}
 }
 
 // A NaT bit with no shadow taint to account for it (a phantom token) must
-// surface as a register divergence at the next boundary sweep.
+// surface as a register divergence: at the next boundary at Boundary
+// granularity, at Finish's register check at Sink granularity.
 func TestOracleCatchesPhantomNaT(t *testing.T) {
 	text := []isa.Instruction{
 		{Op: isa.OpMovl, Dest: 1, Imm: 3},
 		{Op: isa.OpAddi, Dest: 2, Src1: 1, Imm: 1},
 	}
-	m, tags := buildMachine(t, text, taint.Byte)
-	o := New(Config{Tags: tags, Instrumented: true})
-	o.Attach(m)
-	if trap := m.Step(); trap != nil {
-		t.Fatal(trap)
-	}
-	m.NaT[6] = true // seeded bug: token appears out of nowhere
-	trap := m.Step()
-	if trap == nil || trap.Kind != machine.TrapOracle {
-		t.Fatalf("trap = %v, want oracle divergence", trap)
-	}
-	var d *Divergence
-	if !errors.As(trap.Err, &d) || d.Kind != DivRegister || d.Reg != 6 {
-		t.Fatalf("divergence = %+v, want DivRegister on r6", trap.Err)
+	rows := []struct {
+		g  Granularity
+		at int
+	}{{Boundary, 1}, {Sink, atFinish}}
+	for _, row := range rows {
+		t.Run(row.g.String(), func(t *testing.T) {
+			m, tags := buildMachine(t, text, taint.Byte)
+			c := New(Config{Tags: tags, Instrumented: true}, row.g)
+			m.Hook = c
+			if trap := m.Step(); trap != nil {
+				t.Fatal(trap)
+			}
+			m.NaT[6] = true // seeded bug: token appears out of nowhere
+			at, d := detect(t, m, c, 1)
+			if at != row.at || d.Kind != DivRegister || d.Reg != 6 {
+				t.Fatalf("%v on r%d at %d, want DivRegister on r6 at %d", d.Kind, d.Reg, at, row.at)
+			}
+		})
 	}
 }
 
 // The reverse direction: shadow taint the machine lost (NaT cleared where
-// the reference says the data is tainted) must also surface.
+// the reference says the data is tainted) must also surface, at the next
+// boundary or at the closing check.
 func TestOracleCatchesDroppedTaint(t *testing.T) {
 	text := []isa.Instruction{
 		{Op: isa.OpMovl, Dest: 1, Imm: int64(dataAddr)},
@@ -130,24 +183,28 @@ func TestOracleCatchesDroppedTaint(t *testing.T) {
 		{Op: isa.OpAddi, Dest: 3, Src1: 2, Imm: 1},
 		{Op: isa.OpNop},
 	}
-	m, tags := buildMachine(t, text, taint.Byte)
-	if err := tags.SetRange(dataAddr, 8); err != nil {
-		t.Fatal(err)
-	}
-	o := New(Config{Tags: tags, Instrumented: true})
-	o.Attach(m)
-	// Tell the shadow the tainted source is real (as the OS would).
-	o.HostTaint(dataAddr, 8)
-	trap := stepAll(m, len(text))
-	if trap == nil || trap.Kind != machine.TrapOracle {
-		t.Fatalf("trap = %v, want oracle divergence", trap)
-	}
-	var d *Divergence
-	if !errors.As(trap.Err, &d) || d.Kind != DivRegister {
-		t.Fatalf("divergence = %+v, want DivRegister", trap.Err)
-	}
-	if d.Machine || !d.Shadow {
-		t.Errorf("machine=%v shadow=%v, want false/true (machine dropped the taint)", d.Machine, d.Shadow)
+	rows := []struct {
+		g  Granularity
+		at int
+	}{{Boundary, 2}, {Sink, atFinish}}
+	for _, row := range rows {
+		t.Run(row.g.String(), func(t *testing.T) {
+			m, tags := buildMachine(t, text, taint.Byte)
+			if err := tags.SetRange(dataAddr, 8); err != nil {
+				t.Fatal(err)
+			}
+			c := New(Config{Tags: tags, Instrumented: true}, row.g)
+			m.Hook = c
+			// Tell the shadow the tainted source is real (as the OS would).
+			c.HostTaint(dataAddr, 8)
+			at, d := detect(t, m, c, len(text))
+			if at != row.at || d.Kind != DivRegister {
+				t.Fatalf("%v at %d, want DivRegister at %d", d.Kind, at, row.at)
+			}
+			if d.Machine || !d.Shadow {
+				t.Errorf("machine=%v shadow=%v, want false/true (machine dropped the taint)", d.Machine, d.Shadow)
+			}
+		})
 	}
 }
 
@@ -162,8 +219,8 @@ func TestOracleLdSDeferAgreement(t *testing.T) {
 		{Op: isa.OpLdS, Dest: 4, Src1: 3, Size: 8}, // succeeds -> clean
 	}
 	m, _ := buildMachine(t, text, taint.Byte)
-	o := New(Config{}) // mechanical NaT-rule checks only
-	o.Attach(m)
+	o := New(Config{}, Boundary) // mechanical NaT-rule checks only
+	m.Hook = o
 	if trap := stepAll(m, len(text)); trap != nil {
 		t.Fatal(trap)
 	}
@@ -176,7 +233,7 @@ func TestOracleLdSDeferAgreement(t *testing.T) {
 }
 
 // Finish must catch state that diverged after the last instruction (e.g.
-// a final tag write with no store behind it).
+// a final tag write with no store behind it), at either granularity.
 func TestOracleFinishSweeps(t *testing.T) {
 	text := []isa.Instruction{
 		{Op: isa.OpMovl, Dest: 1, Imm: int64(dataAddr)},
@@ -184,47 +241,76 @@ func TestOracleFinishSweeps(t *testing.T) {
 		{Op: isa.OpSt, Src1: 1, Src2: 2, Size: 8},
 		{Op: isa.OpNop},
 	}
-	m, tags := buildMachine(t, text, taint.Byte)
-	o := New(Config{Tags: tags, Instrumented: true})
-	o.Attach(m)
-	if trap := stepAll(m, len(text)); trap != nil {
-		t.Fatal(trap)
-	}
-	if err := o.Finish(m); err != nil {
-		t.Fatalf("clean run: %v", err)
-	}
-	if err := tags.SetRange(dataAddr, 8); err != nil {
-		t.Fatal(err)
-	}
-	err := o.Finish(m)
-	var d *Divergence
-	if !errors.As(err, &d) || d.Kind != DivBitmap {
-		t.Fatalf("Finish = %v, want DivBitmap", err)
+	for _, g := range grans {
+		m, tags := buildMachine(t, text, taint.Byte)
+		o := New(Config{Tags: tags, Instrumented: true}, g)
+		m.Hook = o
+		if trap := stepAll(m, len(text)); trap != nil {
+			t.Fatal(trap)
+		}
+		if err := o.Finish(m); err != nil {
+			t.Fatalf("%v: clean run: %v", g, err)
+		}
+		if err := tags.SetRange(dataAddr, 8); err != nil {
+			t.Fatal(err)
+		}
+		err := o.Finish(m)
+		var d *Divergence
+		if !errors.As(err, &d) || d.Kind != DivBitmap {
+			t.Fatalf("%v: Finish = %v, want DivBitmap", g, err)
+		}
 	}
 }
 
 // Host-effect notifications must steer the shadow: taint marking and
 // explicit clearing drive it, while a host write keeps the shadow's own
-// view so the bitmap's stickiness is checked rather than adopted.
+// view so the bitmap's stickiness is checked rather than adopted. Each
+// non-empty effect is a sink, and lands on the shadow exactly where it
+// falls in retirement order: the checker's state equals a reference
+// State that saw the same records and notifications applied one by one.
 func TestOracleHostEffects(t *testing.T) {
-	m, tags := buildMachine(t, []isa.Instruction{{Op: isa.OpNop}}, taint.Byte)
-	_ = m
-	o := New(Config{Tags: tags, Instrumented: true})
+	for _, g := range grans {
+		t.Run(g.String(), func(t *testing.T) {
+			_, tags := buildMachine(t, []isa.Instruction{{Op: isa.OpNop}}, taint.Byte)
+			o := New(Config{Tags: tags, Instrumented: true}, g)
+			o.HostTaint(dataAddr, 4)
+			if !o.mem.Load(dataAddr, 4) {
+				t.Errorf("HostTaint did not mark the shadow")
+			}
+			o.HostUntaint(dataAddr, 4)
+			if o.mem.Load(dataAddr, 4) {
+				t.Errorf("HostUntaint did not clear the shadow")
+			}
+			// A host write over a previously tainted range preserves the
+			// shadow's taint (OS tag stickiness is the reference semantics
+			// under check).
+			o.HostTaint(dataAddr, 2)
+			o.HostWrite(dataAddr, 4)
+			if !o.mem.Load(dataAddr, 2) || o.mem.Load(dataAddr+2, 2) {
+				t.Errorf("HostWrite did not preserve the shadow's sticky taint")
+			}
 
-	o.HostTaint(dataAddr, 4)
-	if !o.mem.Load(dataAddr, 4) {
-		t.Error("HostTaint did not mark the shadow")
-	}
-	o.HostUntaint(dataAddr, 4)
-	if o.mem.Load(dataAddr, 4) {
-		t.Error("HostUntaint did not clear the shadow")
-	}
-	// A host write over a previously tainted range preserves the shadow's
-	// taint (OS tag stickiness is the reference semantics under check).
-	o.HostTaint(dataAddr, 2)
-	o.HostWrite(dataAddr, 4)
-	if !o.mem.Load(dataAddr, 2) || o.mem.Load(dataAddr+2, 2) {
-		t.Error("HostWrite did not preserve the shadow's sticky taint")
+			c, ref := New(Config{Tags: tags, Instrumented: true}, g), NewState(Config{Tags: tags, Instrumented: true})
+			// A clean store, then a host source over it: the source survives
+			// only if it is applied after the store.
+			applyBoth(t, c, ref, Rec{Kind: RecStore, Op: isa.OpSt, S2: 2, Size: 4, Addr: dataAddr})
+			c.HostTaint(dataAddr, 4)
+			ref.HostTaint(dataAddr, 4)
+			applyBoth(t, c, ref, Rec{Kind: RecLoad, Op: isa.OpLd, Dest: 3, Size: 4, Addr: dataAddr})
+			c.HostUntaint(dataAddr+2, 2)
+			ref.HostUntaint(dataAddr+2, 2)
+			c.HostWrite(dataAddr, 4)
+			ref.HostWrite(dataAddr, 4)
+			c.HostWrite(dataAddr, 0) // empty effects are no sinks
+			applyBoth(t, c, ref, Rec{Kind: RecLoad, Op: isa.OpLd, Dest: 4, Size: 2, Addr: dataAddr + 2})
+			sameState(t, c.State, ref)
+			if got := c.Stats.Drains.Load(); got != 3 {
+				t.Errorf("%d drains, want 3 (one per host effect)", got)
+			}
+			if got := c.Stats.Records.Load(); got != 2 {
+				t.Errorf("%d records published, want 2 (the records before the last sink)", got)
+			}
+		})
 	}
 }
 
@@ -233,8 +319,8 @@ func TestOracleHostEffects(t *testing.T) {
 // the next sweep instead of being silently adopted into the shadow.
 func TestOracleChecksHostWriteStickiness(t *testing.T) {
 	m, tags := buildMachine(t, []isa.Instruction{{Op: isa.OpNop}}, taint.Byte)
-	o := New(Config{Tags: tags, Instrumented: true})
-	o.Attach(m)
+	o := New(Config{Tags: tags, Instrumented: true}, Boundary)
+	m.Hook = o
 
 	// Seeded bug: the bitmap gains taint under a host write with no
 	// source (HostTaint) to justify it.
@@ -257,31 +343,32 @@ func TestOracleChecksHostWriteStickiness(t *testing.T) {
 
 // Under tag-coherent scheduling (the default) spawning a second thread
 // keeps every strong check standing; only the UnsafePreempt configuration
-// reproduces the old stand-down. The child's argument-taint inheritance
-// applies in both modes.
+// reproduces the stand-down, from the spawn on. A spawn is a sink: the
+// child inherits the argument taint the parent had at that point in the
+// stream, in both scheduling modes and at either granularity.
 func TestOracleSpawnKeepsChecking(t *testing.T) {
-	m, tags := buildMachine(t, []isa.Instruction{{Op: isa.OpNop}}, taint.Byte)
-	_ = m
-	o := New(Config{Tags: tags, Instrumented: true})
-	if !o.Checking() {
-		t.Fatal("oracle not checking before spawn")
-	}
-	o.regs(0).taint[isa.RegArg0+1] = true
-	o.OnSpawn(0, 1)
-	if !o.Checking() {
-		t.Error("strong checks stood down after spawn despite coherent scheduling")
-	}
-	if !o.regs(1).taint[isa.RegArg0] {
-		t.Error("child argument taint not inherited")
-	}
-
-	u := New(Config{Tags: tags, Instrumented: true, UnsafePreempt: true})
-	u.regs(0).taint[isa.RegArg0+1] = true
-	u.OnSpawn(0, 1)
-	if u.Checking() {
-		t.Error("strong checks still on after spawn under UnsafePreempt")
-	}
-	if !u.regs(1).taint[isa.RegArg0] {
-		t.Error("child argument taint not inherited under UnsafePreempt")
+	for _, g := range grans {
+		t.Run(g.String(), func(t *testing.T) {
+			for _, unsafe := range []bool{false, true} {
+				_, tags := buildMachine(t, []isa.Instruction{{Op: isa.OpNop}}, taint.Byte)
+				cfg := Config{Tags: tags, Instrumented: true, UnsafePreempt: unsafe}
+				c, ref := New(cfg, g), NewState(cfg)
+				if !c.Checking() {
+					t.Fatalf("unsafe=%v: not checking before spawn", unsafe)
+				}
+				c.HostTaint(dataAddr, 8)
+				ref.HostTaint(dataAddr, 8)
+				applyBoth(t, c, ref, Rec{Kind: RecLoad, Op: isa.OpLd, Dest: isa.RegArg0 + 1, Size: 8, Addr: dataAddr})
+				c.OnSpawn(0, 1)
+				ref.OnSpawn(0, 1)
+				sameState(t, c.State, ref)
+				if c.Checking() == unsafe {
+					t.Errorf("unsafe=%v: strong checks %v after spawn", unsafe, c.Checking())
+				}
+				if !c.regs(1).taint[isa.RegArg0] {
+					t.Errorf("unsafe=%v: child argument taint not inherited", unsafe)
+				}
+			}
+		})
 	}
 }

@@ -10,7 +10,7 @@ import (
 // interpreter (State.Apply) never re-decodes opcodes: a record is the
 // instruction's taint-transfer function plus the pre-state it needs
 // (effective address, defer decision, commit outcome), flattened into a
-// fixed-size struct. Both checkers apply a record the moment it is
+// fixed-size struct. The checker applies a record the moment it is
 // encoded.
 type RecKind uint8
 

@@ -59,7 +59,7 @@ func requestSpace(tb testing.TB, g taint.Granularity) (*machine.Machine, *taint.
 	return machine.New(prog, memory), tags
 }
 
-// BenchmarkApplyRec is the per-record cost both checkers pay: one record
+// BenchmarkApplyRec is the per-record cost the checker pays: one record
 // of the request stream applied to the shadow state.
 func BenchmarkApplyRec(b *testing.B) {
 	_, tags := requestSpace(b, taint.Byte)
@@ -76,7 +76,7 @@ func BenchmarkApplyRec(b *testing.B) {
 }
 
 // BenchmarkPipelineRun is one request's whole sink-granular checker
-// lifetime: NewSinkChecker, the host taint of the page, the record stream
+// lifetime: New, the host taint of the page, the record stream
 // with its sinks and bitmap sweeps, and Finish.
 func BenchmarkPipelineRun(b *testing.B) {
 	for _, g := range []taint.Granularity{taint.Byte, taint.Word} {
@@ -87,7 +87,7 @@ func BenchmarkPipelineRun(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c := NewSinkChecker(Config{Tags: tags, Instrumented: true})
+				c := New(Config{Tags: tags, Instrumented: true}, Sink)
 				c.HostWrite(reqSrc, reqBytes)
 				c.HostTaint(reqSrc, reqBytes)
 				for k := range recs {
@@ -96,7 +96,7 @@ func BenchmarkPipelineRun(b *testing.B) {
 					}
 					if (k+1)%per == 0 {
 						c.drain()
-						if _, d := c.st.Sweep(m); d != nil {
+						if _, d := c.Sweep(m); d != nil {
 							b.Fatal(d)
 						}
 					}

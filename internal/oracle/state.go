@@ -19,11 +19,10 @@ type regShadow struct {
 
 // State is the reference shadow taint state — an explicit taint bit per
 // general register (per thread) and per tracked memory unit — and the
-// one interpreter of taint records. Both checkers run on it and apply
+// one interpreter of taint records. A Checker runs on it and applies
 // each record as it is encoded. The checks that compare State against
-// the machine's tag state (CheckRegs, Sweep) are shared too; only when
-// they run differs: at every original-instruction boundary in the
-// lockstep oracle, at sinks in the sink-granular checker.
+// the machine's tag state (CheckRegs, Sweep) live here too; the
+// checker's Granularity decides when they run.
 type State struct {
 	cfg     Config
 	mem     *shadow.Memory
@@ -73,7 +72,7 @@ func (rs *regShadow) set(r uint8, t bool) {
 }
 
 // recDivergence reports a divergence one record exposed. Ins is the
-// opcode name; the oracle, which still holds the instruction, replaces
+// opcode name; the checker, which still holds the instruction, replaces
 // it with the disassembly.
 func recDivergence(r *Rec, kind DivergenceKind, reg uint8, mach, shadow bool) *Divergence {
 	return &Divergence{
@@ -213,10 +212,9 @@ func (st *State) WriteRegs(b *strings.Builder, m *machine.Machine) {
 	}
 }
 
-// The methods below implement the shift package's HostEffects interface
-// on the shadow: the OS model reports its direct effects on guest state
-// so the shadow can mirror them, and the next sweep then cross-checks the
-// bitmap's view of them.
+// The methods below mirror the OS model's direct effects on guest state
+// into the shadow (Checker wraps each as a sink), so the next sweep can
+// cross-check the bitmap's view of them.
 
 // HostWrite records that the OS wrote n bytes of host data at addr
 // (read(2)-style transfers, getarg strings). SHIFT's OS model leaves

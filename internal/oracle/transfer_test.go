@@ -176,8 +176,8 @@ func TestTransferRules(t *testing.T) {
 			if c.mach != nil {
 				c.mach(m)
 			}
-			o := New(c.cfg)
-			o.Attach(m)
+			o := New(c.cfg, Boundary)
+			m.Hook = o
 			for _, r := range c.taint {
 				o.regs(0).taint[r] = true
 			}

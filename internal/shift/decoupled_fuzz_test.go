@@ -45,7 +45,7 @@ func FuzzDecoupledLockstep(f *testing.F) {
 		if res.Alert != nil {
 			t.Fatalf("seed %d gran=%v: false positive: %v\n%s", seed, g, res.Alert, src)
 		}
-		if res.Oracle.Stats.UnitChecks == 0 {
+		if res.Oracle.Stats.UnitChecks.Load() == 0 {
 			t.Fatalf("seed %d gran=%v: oracle idle", seed, g)
 		}
 		if res.Pipe.Stats.Records.Load() == 0 {

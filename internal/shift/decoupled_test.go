@@ -17,6 +17,7 @@ import (
 	"shift/internal/isa"
 	"shift/internal/loader"
 	"shift/internal/machine"
+	"shift/internal/oracle"
 	"shift/internal/shift"
 	"shift/internal/taint"
 	"shift/internal/workload"
@@ -264,5 +265,72 @@ func TestDecoupledStartsNoGoroutine(t *testing.T) {
 	}
 	if probe.peak != before || after != before {
 		t.Errorf("goroutines: %d before, peak %d during, %d after the checked run; want no change", before, probe.peak, after)
+	}
+}
+
+// recordCounter is a step hook that counts the steps a checker observes
+// and the retirement records it applies: every non-squashed instruction
+// the encoder accepts.
+type recordCounter struct {
+	enc         oracle.Encoder
+	rec         oracle.Rec
+	steps, recs uint64
+}
+
+func (h *recordCounter) PreStep(m *machine.Machine, ins *isa.Instruction) { h.enc.Capture(m, ins) }
+
+func (h *recordCounter) PostStep(m *machine.Machine, ins *isa.Instruction) error {
+	h.steps++
+	if !h.enc.Squashed() && h.enc.Encode(m, ins, &h.rec) {
+		h.recs++
+	}
+	return nil
+}
+
+// TestDecoupledPublishesOnEveryExit: a checked run that ends in an alert
+// or a trap still publishes the checkers' counters. The UseAfterFree
+// exploit ends in an L1 NaT-consumption alert after ~1,100 retirements,
+// and a budget of 500 ends the same run in a trap first; in both, each
+// checker's Records and Steps must equal what it applied and observed,
+// not the counts at the last sink before the end.
+func TestDecoupledPublishesOnEveryExit(t *testing.T) {
+	a := attacks.UseAfterFree
+	opt := shift.Options{Instrument: true, Policy: a.Config(), Oracle: true, Decoupled: 1}
+	prog, err := shift.Build([]shift.Source{{Name: a.Program, Text: a.Source}}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := loader.Load(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		budget uint64
+	}{{"alert", 0}, {"budget", 500}} {
+		world := a.Exploit()
+		world.HeapBase, world.StackTop = img.HeapBase, img.StackTop
+		mach := img.NewMachine()
+		count := &recordCounter{}
+		mach.Hook = count // RunOn composes the checkers behind it
+		opt.Budget = tc.budget
+		res, err := shift.RunOn(mach, world, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case tc.budget == 0 && (res.Alert == nil || res.Alert.Violation.Policy != "L1"):
+			t.Fatalf("%s: alert %v, trap %v; want an L1 alert", tc.name, res.Alert, res.Trap)
+		case tc.budget != 0 && (res.Trap == nil || res.Trap.Kind != machine.TrapBudget):
+			t.Fatalf("%s: trap %v; want budget expiry", tc.name, res.Trap)
+		}
+		for name, c := range map[string]*oracle.Checker{"oracle": res.Oracle, "sink": res.Pipe} {
+			if got := c.Stats.Records.Load(); got != count.recs || got == 0 {
+				t.Errorf("%s: %s checker publishes %d records, applied %d", tc.name, name, got, count.recs)
+			}
+			if got := c.Stats.Steps.Load(); got != count.steps {
+				t.Errorf("%s: %s checker publishes %d steps, observed %d", tc.name, name, got, count.steps)
+			}
+		}
 	}
 }

@@ -161,7 +161,7 @@ func FuzzOracleLockstep(f *testing.F) {
 		if res.Alert != nil {
 			t.Fatalf("seed %d gran=%v: false positive: %v\n%s", seed, g, res.Alert, src)
 		}
-		if res.Oracle.Stats.UnitChecks == 0 {
+		if res.Oracle.Stats.UnitChecks.Load() == 0 {
 			t.Fatalf("seed %d gran=%v: oracle idle", seed, g)
 		}
 	})
@@ -251,7 +251,7 @@ func FuzzThreadedTaint(f *testing.F) {
 			t.Fatalf("seed %d gran=%v workers=%d q=%d: false positive: %v\n%s",
 				seed, g, 1+int(workers)%3, quantum, res.Alert, src)
 		}
-		if res.Oracle.Stats.UnitChecks == 0 {
+		if res.Oracle.Stats.UnitChecks.Load() == 0 {
 			t.Fatalf("seed %d gran=%v: oracle idle", seed, g)
 		}
 	})
@@ -316,9 +316,10 @@ func TestInstrumentationPreservesSemantics(t *testing.T) {
 				t.Errorf("seed %d %s: instrumentation cost nothing", seed, m.name)
 			}
 			// The oracle must really have been checking, not idling.
-			st := res.Oracle.Stats
-			if st.Steps == 0 || st.RegChecks == 0 || st.UnitChecks == 0 {
-				t.Fatalf("seed %d %s: oracle idle: %+v", seed, m.name, st)
+			st := &res.Oracle.Stats
+			if st.Steps.Load() == 0 || st.RegChecks.Load() == 0 || st.UnitChecks.Load() == 0 {
+				t.Fatalf("seed %d %s: oracle idle: %d steps, %d register checks, %d unit checks",
+					seed, m.name, st.Steps.Load(), st.RegChecks.Load(), st.UnitChecks.Load())
 			}
 		}
 	}

@@ -171,7 +171,7 @@ func TestTraceComposesWithOracle(t *testing.T) {
 	if res.Trap != nil {
 		t.Fatalf("oracle+trace run trapped: %v", res.Trap)
 	}
-	if res.Oracle == nil || res.Oracle.Stats.Steps == 0 {
+	if res.Oracle == nil || res.Oracle.Stats.Steps.Load() == 0 {
 		t.Fatal("oracle saw no steps with tracing attached")
 	}
 	if tr.Total() == 0 {

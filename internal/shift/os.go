@@ -5,6 +5,7 @@ import (
 
 	"shift/internal/isa"
 	"shift/internal/machine"
+	"shift/internal/oracle"
 	"shift/internal/policy"
 	"shift/internal/taint"
 	"shift/internal/trace"
@@ -27,71 +28,10 @@ type file struct {
 	off  int
 }
 
-// HostEffects observes the OS model's direct mutations of guest state —
-// the ones that happen outside the instrumented instruction stream and
-// would otherwise be invisible to a lockstep checker. The oracle package
-// implements it; a nil Effects field disables all notifications.
-type HostEffects interface {
-	// HostWrite reports n bytes of host data written at addr (read,
-	// recv, getarg transfers).
-	HostWrite(addr uint64, n int)
-	// HostTaint reports that [addr, addr+n) was marked as a source.
-	HostTaint(addr, n uint64)
-	// HostUntaint reports that [addr, addr+n) was explicitly cleared.
-	HostUntaint(addr, n uint64)
-	// OnSpawn reports a new guest thread created by parentTID.
-	OnSpawn(parentTID, childTID int)
-}
-
-// SinkSyncer is the optional extension the sink-granular checker
-// (oracle.SinkChecker) implements: a policy sink is about to render a
-// verdict, and the checker counts it. The shadow state is already
-// current, since records are applied as they retire.
-type SinkSyncer interface {
-	SyncSink()
-}
-
-// multiEffects fans host-effect notifications out to several observers
-// (oracle and sink checker together, for differential runs). SyncSink
-// delegates to every member that implements it.
-type multiEffects []HostEffects
-
-func (me multiEffects) HostWrite(addr uint64, n int) {
-	for _, e := range me {
-		e.HostWrite(addr, n)
-	}
-}
-
-func (me multiEffects) HostTaint(addr, n uint64) {
-	for _, e := range me {
-		e.HostTaint(addr, n)
-	}
-}
-
-func (me multiEffects) HostUntaint(addr, n uint64) {
-	for _, e := range me {
-		e.HostUntaint(addr, n)
-	}
-}
-
-func (me multiEffects) OnSpawn(parentTID, childTID int) {
-	for _, e := range me {
-		e.OnSpawn(parentTID, childTID)
-	}
-}
-
-func (me multiEffects) SyncSink() {
-	for _, e := range me {
-		if s, ok := e.(SinkSyncer); ok {
-			s.SyncSink()
-		}
-	}
-}
-
-// syncSink tells a sink-granular checker that a sink verdict is next.
+// syncSink tells the checkers that a sink verdict is next.
 func (w *World) syncSink() {
-	if s, ok := w.Effects.(SinkSyncer); ok {
-		s.SyncSink()
+	for _, c := range w.Effects {
+		c.SyncSink()
 	}
 }
 
@@ -118,9 +58,11 @@ type World struct {
 	Tags *taint.Space
 	// Engine checks policies at sinks; nil disables checking.
 	Engine *policy.Engine
-	// Effects, when non-nil, is notified of host-side guest-state
-	// mutations (for the lockstep oracle).
-	Effects HostEffects
+	// Effects are the checkers RunOn attached. Each is notified of the
+	// host-side guest-state mutations the instruction stream does not
+	// show (host writes, taint sources, explicit untaint, spawns) and of
+	// policy sinks.
+	Effects []*oracle.Checker
 	// Trace, when non-nil, records taint-lifecycle events the OS model
 	// originates: taint birth at input syscalls, host writes, policy
 	// checks and violations, spawns. Run wires it from Options.Trace.
@@ -185,8 +127,8 @@ func (w *World) markTaint(m *machine.Machine, addr uint64, n int, channel string
 	if err := w.Tags.SetRangeFrom(addr, uint64(n), taint.ChannelForSource(channel)); err != nil {
 		return err
 	}
-	if w.Effects != nil {
-		w.Effects.HostTaint(addr, uint64(n))
+	for _, c := range w.Effects {
+		c.HostTaint(addr, uint64(n))
 	}
 	// Taint birth: the event every later provenance question traces back
 	// to, so it carries the source channel by name.
@@ -199,8 +141,8 @@ func (w *World) notifyWrite(m *machine.Machine, addr uint64, n int) {
 	if n <= 0 {
 		return
 	}
-	if w.Effects != nil {
-		w.Effects.HostWrite(addr, n)
+	for _, c := range w.Effects {
+		c.HostWrite(addr, n)
 	}
 	w.emit(m, trace.Event{Kind: trace.KindHostWrite, Addr: addr, N: uint64(n)})
 }
@@ -423,8 +365,8 @@ func (w *World) sysSpawn(m *machine.Machine) (uint64, *machine.Trap) {
 	}
 	sp := w.StackTop - uint64(len(w.Sched.Threads))*threadStackSlice
 	tid := w.Sched.Spawn(entry, threadArg, sp)
-	if w.Effects != nil {
-		w.Effects.OnSpawn(m.TID, tid)
+	for _, c := range w.Effects {
+		c.OnSpawn(m.TID, tid)
 	}
 	w.emit(m, trace.Event{Kind: trace.KindSpawn, N: uint64(tid), Name: name})
 	m.GR[isa.RegRet] = int64(tid)
@@ -695,8 +637,10 @@ func (w *World) sysTaintOps(m *machine.Machine, num int64) (uint64, *machine.Tra
 			if err := w.Tags.SetRange(uint64(buf), uint64(n)); err != nil {
 				return 0, hostTrap(m, err)
 			}
-			if w.Effects != nil && n > 0 {
-				w.Effects.HostTaint(uint64(buf), uint64(n))
+			for _, c := range w.Effects {
+				if n > 0 {
+					c.HostTaint(uint64(buf), uint64(n))
+				}
 			}
 			w.emit(m, trace.Event{Kind: trace.KindTaint, Addr: uint64(buf), N: uint64(n), Name: "syscall"})
 		}
@@ -705,8 +649,10 @@ func (w *World) sysTaintOps(m *machine.Machine, num int64) (uint64, *machine.Tra
 			if err := w.Tags.ClearRange(uint64(buf), uint64(n)); err != nil {
 				return 0, hostTrap(m, err)
 			}
-			if w.Effects != nil && n > 0 {
-				w.Effects.HostUntaint(uint64(buf), uint64(n))
+			for _, c := range w.Effects {
+				if n > 0 {
+					c.HostUntaint(uint64(buf), uint64(n))
+				}
 			}
 			w.emit(m, trace.Event{Kind: trace.KindUntaint, Addr: uint64(buf), N: uint64(n)})
 		}

@@ -85,7 +85,7 @@ type Options struct {
 	// shadow-taint interpretation. A disagreement stops the run with a
 	// TrapOracle carrying a full divergence report (Result.Trap).
 	Oracle bool
-	// Decoupled > 0 runs the sink-granular checker (oracle.SinkChecker):
+	// Decoupled > 0 runs the checker at Sink granularity (oracle.Checker):
 	// each retired instruction's record is applied to the shadow state as
 	// it retires, and the strong cross-checks run at policy sinks and at
 	// the end of the run instead of at every original-instruction
@@ -229,12 +229,13 @@ type Result struct {
 	Retired       uint64
 	World         *World
 	Machine       *machine.Machine
-	// Oracle is the lockstep checker when Options.Oracle was set; its
-	// Divergence() and Stats report what was cross-checked.
-	Oracle *oracle.Oracle
-	// Pipe is the sink-granular checker when Options.Decoupled was set;
-	// its Divergence() and Stats report what was propagated and checked.
-	Pipe *oracle.SinkChecker
+	// Oracle is the checker at Boundary granularity when Options.Oracle
+	// was set; its Divergence() and Stats report what was cross-checked.
+	Oracle *oracle.Checker
+	// Pipe is the checker at Sink granularity when Options.Decoupled was
+	// set; its Divergence() and Stats report what was propagated and
+	// checked.
+	Pipe *oracle.Checker
 	// Trace is the flight recorder when Options.Trace was set.
 	Trace *trace.Tracer
 }
@@ -316,45 +317,29 @@ func RunOn(mach *machine.Machine, world *World, opt Options) (*Result, error) {
 		mach.Costs = *opt.Costs
 	}
 
+	// Both checkers ride the StepHook retirement stream and the
+	// host-effect notifications. With both requested the lockstep checker
+	// hooks first, keeping its per-boundary abort semantics; the sink
+	// checker then sees exactly the same stream. Observability hooks in
+	// last.
 	checkCfg := oracle.Config{Tags: world.Tags, Instrumented: opt.Instrument, UnsafePreempt: opt.UnsafePreempt}
-	var orc *oracle.Oracle
+	var orc, pipe *oracle.Checker
+	world.Effects = world.Effects[:0]
 	if opt.Oracle {
-		orc = oracle.New(checkCfg)
-		orc.Attach(mach)
-		world.Effects = orc
+		orc = oracle.New(checkCfg, oracle.Boundary)
+		world.Effects = append(world.Effects, orc)
 	}
-
-	// The sink-granular checker rides the same seams as the oracle: the
-	// StepHook retirement stream and the host-effect notifications. With
-	// both checkers requested the oracle hooks first, keeping its
-	// per-boundary abort semantics; the sink checker then sees exactly the
-	// same stream.
-	var pipe *oracle.SinkChecker
 	if opt.Decoupled > 0 {
-		pipe = oracle.NewSinkChecker(checkCfg)
-		if mach.Hook != nil {
-			mach.Hook = machine.MultiHook{mach.Hook, pipe}
-		} else {
-			pipe.Attach(mach)
-		}
-		if world.Effects != nil {
-			world.Effects = multiEffects{world.Effects, pipe}
-		} else {
-			world.Effects = pipe
-		}
+		pipe = oracle.New(checkCfg, oracle.Sink)
+		world.Effects = append(world.Effects, pipe)
 	}
-
-	// Observability rides the same StepHook seam as the oracle; with both
-	// requested, MultiHook fans the retirement stream out (oracle first,
-	// so its abort-on-divergence semantics are unchanged).
+	for _, c := range world.Effects {
+		addHook(mach, c)
+	}
 	var obs *trace.MachineHook
 	if opt.Trace != nil || opt.Metrics != nil {
 		obs = trace.NewMachineHook(opt.Trace, opt.Metrics)
-		if mach.Hook != nil {
-			mach.Hook = machine.MultiHook{mach.Hook, obs}
-		} else {
-			mach.Hook = obs
-		}
+		addHook(mach, obs)
 		world.Trace = opt.Trace
 	}
 	if opt.Metrics != nil && pipe != nil {
@@ -383,16 +368,15 @@ func RunOn(mach *machine.Machine, world *World, opt Options) (*Result, error) {
 	if obs != nil {
 		obs.Flush()
 	}
-	if trap == nil && orc != nil {
-		// The run halted cleanly: the final state must still agree.
-		if err := orc.Finish(mach); err != nil {
-			trap = &machine.Trap{Kind: machine.TrapOracle, PC: mach.PC, Ins: "<finish>", Err: err}
+	for _, c := range world.Effects {
+		if trap != nil {
+			// An alert, a trap or budget expiry ended the run: there is
+			// no final state to check, but the counters must be current.
+			c.Publish()
+			continue
 		}
-	}
-	if trap == nil && pipe != nil {
-		// Same final agreement for the sink checker: the closing
-		// register check and bitmap sweep.
-		if err := pipe.Finish(mach); err != nil {
+		// The run halted cleanly: the final state must still agree.
+		if err := c.Finish(mach); err != nil {
 			trap = &machine.Trap{Kind: machine.TrapOracle, PC: mach.PC, Ins: "<finish>", Err: err}
 		}
 	}
@@ -448,6 +432,15 @@ func BuildAndRun(sources []Source, world *World, opt Options) (*Result, error) {
 		RegisterSelectiveMetrics(opt.Metrics, opt.InstrStats)
 	}
 	return Run(prog, world, opt)
+}
+
+// addHook composes h behind the machine's current step hook, if any.
+func addHook(m *machine.Machine, h machine.StepHook) {
+	if m.Hook != nil {
+		m.Hook = machine.MultiHook{m.Hook, h}
+	} else {
+		m.Hook = h
+	}
 }
 
 // RegisterSelectiveMetrics publishes a selective build's site accounting

@@ -50,12 +50,13 @@ func TestOracleLockstepOverWorkloads(t *testing.T) {
 				if d := res.Oracle.Divergence(); d != nil {
 					t.Fatalf("%s: divergence: %v", m.name, d)
 				}
-				st := res.Oracle.Stats
-				if st.Steps == 0 {
+				st := &res.Oracle.Stats
+				if st.Steps.Load() == 0 {
 					t.Fatalf("%s: oracle idle", m.name)
 				}
-				if m.opt.Instrument && (st.RegChecks == 0 || st.UnitChecks == 0) {
-					t.Fatalf("%s: oracle not cross-checking: %+v", m.name, st)
+				if m.opt.Instrument && (st.RegChecks.Load() == 0 || st.UnitChecks.Load() == 0) {
+					t.Fatalf("%s: oracle not cross-checking: %d register checks, %d unit checks",
+						m.name, st.RegChecks.Load(), st.UnitChecks.Load())
 				}
 			}
 		})
@@ -86,9 +87,10 @@ func TestOracleOverThreads(t *testing.T) {
 				if d := res.Oracle.Divergence(); d != nil {
 					t.Fatalf("%s k=%d q=%d: divergence: %v", g, k, q, d)
 				}
-				st := res.Oracle.Stats
-				if st.Steps == 0 || st.RegChecks == 0 || st.UnitChecks == 0 {
-					t.Fatalf("%s k=%d q=%d: oracle not cross-checking: %+v", g, k, q, st)
+				st := &res.Oracle.Stats
+				if st.Steps.Load() == 0 || st.RegChecks.Load() == 0 || st.UnitChecks.Load() == 0 {
+					t.Fatalf("%s k=%d q=%d: oracle not cross-checking: %d steps, %d register checks, %d unit checks",
+						g, k, q, st.Steps.Load(), st.RegChecks.Load(), st.UnitChecks.Load())
 				}
 			}
 		}
@@ -122,13 +124,13 @@ func TestOracleChecksSharedUnitsAcrossThreads(t *testing.T) {
 				if d := res.Oracle.Divergence(); d != nil {
 					t.Fatalf("%s k=%d q=%d: divergence: %v", g, k, q, d)
 				}
-				st := res.Oracle.Stats
-				if st.UnitChecks < 1000 {
+				st := &res.Oracle.Stats
+				if st.UnitChecks.Load() < 1000 {
 					t.Fatalf("%s k=%d q=%d: only %d unit checks — strong checks stood down after spawn?",
-						g, k, q, st.UnitChecks)
+						g, k, q, st.UnitChecks.Load())
 				}
-				if st.RegChecks == 0 {
-					t.Fatalf("%s k=%d q=%d: no register cross-checks: %+v", g, k, q, st)
+				if st.RegChecks.Load() == 0 {
+					t.Fatalf("%s k=%d q=%d: no register cross-checks", g, k, q)
 				}
 			}
 		}
